@@ -193,6 +193,12 @@ type Simulator struct {
 
 	diag  []float64
 	quant *costvec.Quantized
+	// grid describes the phase-factor table the kernels may read
+	// instead of evaluating sincos: the quantized codes, or a float64
+	// diagonal found at build time to lie exactly on a power-of-two
+	// grid. Levels == 0 means sincos. Per-γ tables live in each
+	// Result, never here.
+	grid statevec.PhaseGrid
 	// compiled is retained for the RecomputePhase ablation.
 	compiled poly.Compiled
 
@@ -211,8 +217,15 @@ type Simulator struct {
 	// the once-guarded build stays safe under concurrent Results.
 	costCache *costOrderCache
 
+	// initial is the initial state, or nil for the uniform superposition
+	// |+⟩^n, which resetResult fills directly instead of copying.
 	initial statevec.Vec
 }
+
+// maxGridLevels caps the phase table for a float64 diagonal: at most
+// MaxPhaseLevels entries and never more than the 2^n sincos
+// evaluations one phase pass would otherwise cost.
+func maxGridLevels(n int) int { return min(statevec.MaxPhaseLevels, 1<<uint(n)) }
 
 // New builds a simulator for an n-qubit problem given as polynomial
 // terms (Eq. 1), precomputing the 2^n cost diagonal with the engine
@@ -323,6 +336,12 @@ func newFromDiagonal(n int, diag []float64, prequant *costvec.Quantized, opts Op
 			}
 			s.quant = q
 		}
+		s.grid = statevec.PhaseGrid{
+			Min: s.quant.Min, Scale: s.quant.Scale,
+			Levels: int(s.quant.MaxCode()) + 1, Codes: s.quant.Codes,
+		}
+	} else {
+		s.grid = statevec.DiagGrid(diag, costvec.AutoScales, maxGridLevels(n))
 	}
 	switch opts.Mixer {
 	case MixerX:
@@ -344,7 +363,8 @@ func newFromDiagonal(n int, diag []float64, prequant *costvec.Quantized, opts Op
 }
 
 // setupInitialState resolves the initial state: a caller-provided
-// vector, |+⟩^n for the x mixer, or a Dicke state for xy mixers.
+// vector, |+⟩^n for the x mixer (left nil: it is filled on reset, not
+// stored), or a Dicke state for xy mixers.
 func (s *Simulator) setupInitialState() error {
 	if s.opts.InitialState != nil {
 		if len(s.opts.InitialState) != 1<<uint(s.n) {
@@ -354,7 +374,6 @@ func (s *Simulator) setupInitialState() error {
 		return nil
 	}
 	if s.opts.Mixer == MixerX {
-		s.initial = statevec.NewUniform(s.n)
 		return nil
 	}
 	k := s.opts.HammingWeight
@@ -490,7 +509,12 @@ func (s *Simulator) MinCost() float64 { return s.minCost }
 func (s *Simulator) GroundStates() []uint64 { return s.groundStates }
 
 // InitialState returns a copy of the initial state.
-func (s *Simulator) InitialState() statevec.Vec { return s.initial.Clone() }
+func (s *Simulator) InitialState() statevec.Vec {
+	if s.initial == nil {
+		return statevec.NewUniform(s.n)
+	}
+	return s.initial.Clone()
+}
 
 // ringSweep orders the ring edges even-first then odd (one Trotter
 // step of the xy-ring mixer; each pass contains disjoint pairs).

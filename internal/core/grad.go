@@ -25,20 +25,22 @@ import (
 //	                                 Trotterized xy mixers)
 //	∂E/∂γ_ℓ = 2·Im ⟨λ|Ĉ|ψ⟩          (after undoing the mixer)
 //
-// then both states are evolved one layer backwards by applying the
-// exact inverses B(−β_ℓ), G(−γ_ℓ). Every reduction and inverse costs
-// the same as the forward kernel it mirrors, so a full gradient is
-// ≈ 4× one simulation — versus 4p simulations for central finite
-// differences, the asymptotic win the high-depth regime needs.
+// while both states are evolved one layer backwards through the exact
+// inverses B(−β_ℓ), G(−γ_ℓ). Each reduction is invariant under the
+// inverse it sits next to when that inverse is applied to both states,
+// so the reverse pass computes it in flight: per layer, one paired
+// mixer sweep (statevec PairUniformRX) and one paired phase pass
+// (PairPhase) walk ψ and λ together, and no separate reduction pass
+// remains. A full gradient costs about three forward simulations.
 
 // GradBuffers is the reusable workspace of one adjoint gradient
 // evaluation: the pair of state buffers (ket ψ, cost-weighted bra λ)
 // the reverse pass evolves. Allocate once per goroutine with
 // NewGradBuffers and reuse across arbitrarily many
 // SimulateQAOAGradInto calls; after warm-up a gradient evaluation
-// performs zero state-buffer allocations on the non-quantized paths
-// (the quantized phase operator tabulates per-γ factors exactly as in
-// the forward pass). A GradBuffers must not be shared by concurrent
+// performs zero state-buffer allocations, quantized or not (per-γ phase
+// tables are refilled in the buffers' own workspace, and only grow on
+// first use). A GradBuffers must not be shared by concurrent
 // evaluations — give each worker its own pair, the pattern
 // internal/sweep.Engine.SweepGrad implements.
 type GradBuffers struct {
@@ -84,48 +86,13 @@ func (s *Simulator) SimulateQAOAGradInto(w *GradBuffers, gamma, beta, gradGamma,
 }
 
 // SimulateQAOAGradIntoCtx is SimulateQAOAGradInto under a request
-// context: both the forward pass and the reverse mixer undos reach the
-// RouteAuto calibration path, and ctx lets a cancelled request fail
-// fast there instead of burning a timed mixer application. A nil ctx
-// behaves like SimulateQAOAGradInto.
+// context: the forward pass reaches the RouteAuto calibration path, and
+// ctx lets a cancelled request fail fast there instead of burning a
+// timed mixer application. The reverse pass always runs the paired
+// sweep kernels and never calibrates. A nil ctx behaves like
+// SimulateQAOAGradInto.
 func (s *Simulator) SimulateQAOAGradIntoCtx(ctx context.Context, w *GradBuffers, gamma, beta, gradGamma, gradBeta []float64) (float64, error) {
-	if len(gamma) != len(beta) {
-		return 0, fmt.Errorf("core: len(gamma)=%d != len(beta)=%d", len(gamma), len(beta))
-	}
-	if len(gradGamma) != len(gamma) || len(gradBeta) != len(beta) {
-		return 0, fmt.Errorf("core: gradient storage lengths (%d, %d) do not match depth p=%d",
-			len(gradGamma), len(gradBeta), len(gamma))
-	}
-	if w == nil || w.psi == nil || w.lam == nil {
-		return 0, fmt.Errorf("core: nil GradBuffers; use NewGradBuffers")
-	}
-	if err := s.SimulateQAOAIntoCtx(ctx, w.psi, gamma, beta); err != nil {
-		return 0, err
-	}
-	if err := s.bindResult(w.lam); err != nil {
-		return 0, err
-	}
-	energy := w.psi.Expectation()
-
-	// Seed the bra side: λ = Ĉ|ψ_p⟩ (the only non-unitary step).
-	s.copyState(w.lam, w.psi)
-	s.mulDiag(w.lam)
-
-	for l := len(gamma) - 1; l >= 0; l-- {
-		d, err := s.mixerDerivUndo(ctx, w.lam, w.psi, beta[l])
-		if err != nil {
-			return 0, err
-		}
-		gradBeta[l] = 2 * d
-		gradGamma[l] = 2 * s.imDotDiag(w.lam, w.psi)
-		if l > 0 {
-			// Undo the phase on both states; skipped on the last
-			// iteration, where no earlier derivative needs them.
-			s.applyPhase(w.psi, -gamma[l])
-			s.applyPhase(w.lam, -gamma[l])
-		}
-	}
-	return energy, nil
+	return s.gradInto(ctx, w, gamma, beta, nil, gradGamma, gradBeta)
 }
 
 // SimulateQAOAGradObsIntoCtx differentiates the expectation of a
@@ -143,6 +110,12 @@ func (s *Simulator) SimulateQAOAGradObsIntoCtx(ctx context.Context, w *GradBuffe
 	if len(obs) != 1<<uint(s.n) {
 		return 0, fmt.Errorf("core: observable diagonal length %d, want 2^%d = %d", len(obs), s.n, 1<<uint(s.n))
 	}
+	return s.gradInto(ctx, w, gamma, beta, obs, gradGamma, gradBeta)
+}
+
+// gradInto is the adjoint gradient shared by the cost (obs == nil) and
+// observable entry points: forward pass, λ seed, reverse pass.
+func (s *Simulator) gradInto(ctx context.Context, w *GradBuffers, gamma, beta, obs, gradGamma, gradBeta []float64) (float64, error) {
 	if len(gamma) != len(beta) {
 		return 0, fmt.Errorf("core: len(gamma)=%d != len(beta)=%d", len(gamma), len(beta))
 	}
@@ -159,52 +132,72 @@ func (s *Simulator) SimulateQAOAGradObsIntoCtx(ctx context.Context, w *GradBuffe
 	if err := s.bindResult(w.lam); err != nil {
 		return 0, err
 	}
-	energy := w.psi.ExpectationOf(obs)
-
-	// Seed the bra side with the observable: λ = obs⊙|ψ_p⟩.
+	// Seed the bra side: λ = Ĉ|ψ_p⟩, or obs⊙|ψ_p⟩ (the only
+	// non-unitary step).
+	var energy float64
+	seed := s.diag
+	if obs != nil {
+		energy, seed = w.psi.ExpectationOf(obs), obs
+	} else {
+		energy = w.psi.Expectation()
+	}
 	s.copyState(w.lam, w.psi)
-	s.mulVec(w.lam, obs)
+	s.mulVec(w.lam, seed)
 
 	for l := len(gamma) - 1; l >= 0; l-- {
-		d, err := s.mixerDerivUndo(ctx, w.lam, w.psi, beta[l])
-		if err != nil {
-			return 0, err
-		}
-		gradBeta[l] = 2 * d
-		gradGamma[l] = 2 * s.imDotDiag(w.lam, w.psi)
+		gradBeta[l] = 2 * s.pairMixer(w.lam, w.psi, beta[l])
 		if l > 0 {
-			s.applyPhase(w.psi, -gamma[l])
-			s.applyPhase(w.lam, -gamma[l])
+			gradGamma[l] = 2 * s.pairPhase(w.lam, w.psi, -gamma[l])
+		} else {
+			// No earlier derivative needs the states: reduce only.
+			gradGamma[l] = 2 * s.imDotDiag(w.lam, w.psi)
 		}
 	}
 	return energy, nil
 }
 
-// mixerDerivUndo accumulates Im ⟨λ|∂B/∂β · B†|…⟩ for layer angle beta
-// and rewinds both states through the mixer. For the transverse-field
-// mixer all factors commute with their product, so the reduction runs
-// once against the post-mixer pair; for the Trotterized xy mixers the
-// per-edge factors do not commute, so the sweep interleaves one edge
-// reduction with one edge undo, in reverse application order.
-func (s *Simulator) mixerDerivUndo(ctx context.Context, lam, psi *Result, beta float64) (float64, error) {
-	var d float64
+// pairMixer undoes the layer-β mixer on both states and returns
+// Im ⟨λ|M|ψ⟩. For the transverse-field mixer one paired sweep does
+// both; the Trotterized xy factors do not commute, so their sweep
+// interleaves one edge reduction with one edge undo per state, in
+// reverse application order.
+func (s *Simulator) pairMixer(lam, psi *Result, beta float64) float64 {
 	if s.opts.Mixer == MixerX {
-		d = s.imDotXAll(lam, psi)
-		if err := s.applyMixerCtx(ctx, psi, -beta); err != nil {
-			return 0, err
+		switch {
+		case lam.soa32 != nil:
+			return lam.soa32.PairUniformRX(s.pool, psi.soa32, -beta)
+		case lam.soa != nil:
+			return lam.soa.PairUniformRX(s.pool, psi.soa, -beta)
+		case s.backend == BackendSerial:
+			return statevec.PairUniformRX(lam.vec, psi.vec, -beta)
+		default:
+			return s.pool.PairUniformRX(lam.vec, psi.vec, -beta)
 		}
-		if err := s.applyMixerCtx(ctx, lam, -beta); err != nil {
-			return 0, err
-		}
-		return d, nil
 	}
+	var d float64
 	for k := len(s.mixerPairs) - 1; k >= 0; k-- {
 		e := s.mixerPairs[k]
 		d += s.imDotXY(lam, psi, e.U, e.V)
 		s.applyXYPair(psi, e.U, e.V, -beta)
 		s.applyXYPair(lam, e.U, e.V, -beta)
 	}
-	return d, nil
+	return d
+}
+
+// pairPhase applies e^{−iγĈ} to both states (γ is negated by the
+// caller to undo a layer) and returns Im ⟨λ|Ĉ|ψ⟩.
+func (s *Simulator) pairPhase(lam, psi *Result, gamma float64) float64 {
+	ph := s.phase(psi, gamma)
+	switch {
+	case lam.soa32 != nil:
+		return lam.soa32.PairPhase(s.pool, psi.soa32, ph)
+	case lam.soa != nil:
+		return lam.soa.PairPhase(s.pool, psi.soa, ph)
+	case s.backend == BackendSerial:
+		return statevec.PairPhase(lam.vec, psi.vec, ph)
+	default:
+		return s.pool.PairPhase(lam.vec, psi.vec, ph)
+	}
 }
 
 // copyState overwrites dst's amplitudes with src's (same backend, no
@@ -219,9 +212,6 @@ func (s *Simulator) copyState(dst, src *Result) {
 		copy(dst.vec, src.vec)
 	}
 }
-
-// mulDiag multiplies r elementwise by the cost diagonal: r ← Ĉ r.
-func (s *Simulator) mulDiag(r *Result) { s.mulVec(r, s.diag) }
 
 // mulVec multiplies r elementwise by an arbitrary real diagonal.
 func (s *Simulator) mulVec(r *Result, diag []float64) {
@@ -248,21 +238,6 @@ func (s *Simulator) imDotDiag(lam, psi *Result) float64 {
 		return statevec.ImDotDiag(lam.vec, psi.vec, s.diag)
 	default:
 		return s.pool.ImDotDiag(lam.vec, psi.vec, s.diag)
-	}
-}
-
-// imDotXAll returns Σ_q Im ⟨λ|X_q|ψ⟩ — the full transverse-field
-// mixer derivative in one fused reduction.
-func (s *Simulator) imDotXAll(lam, psi *Result) float64 {
-	switch {
-	case lam.soa32 != nil:
-		return lam.soa32.ImDotXAll(s.pool, psi.soa32)
-	case lam.soa != nil:
-		return lam.soa.ImDotXAll(s.pool, psi.soa)
-	case s.backend == BackendSerial:
-		return statevec.ImDotXAll(lam.vec, psi.vec)
-	default:
-		return s.pool.ImDotXAll(lam.vec, psi.vec)
 	}
 }
 

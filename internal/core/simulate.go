@@ -18,6 +18,9 @@ type Result struct {
 	vec   statevec.Vec    // non-nil for Serial/Parallel backends
 	soa   *statevec.SoA   // non-nil for the SoA backend
 	soa32 *statevec.SoA32 // non-nil for the SoA backend in single precision
+	// tab is this buffer's per-γ phase-factor table, used when the
+	// simulator's diagonal lies on a grid.
+	tab statevec.PhaseTable
 }
 
 // SimulateQAOA runs Algorithm 3: it initializes the state, then for
@@ -90,6 +93,10 @@ func (s *Simulator) resetResult(r *Result) error {
 	if err := s.bindResult(r); err != nil {
 		return err
 	}
+	if s.initial == nil {
+		s.resetUniform(r)
+		return nil
+	}
 	switch {
 	case r.soa32 != nil:
 		r.soa32.SetFromVec(s.initial)
@@ -99,6 +106,31 @@ func (s *Simulator) resetResult(r *Result) error {
 		copy(r.vec, s.initial)
 	}
 	return nil
+}
+
+// resetUniform overwrites r with |+⟩^n, every amplitude 2^(−n/2) — the
+// same value statevec.NewUniform stores, so the reset is bit-identical
+// to copying a materialized uniform vector.
+func (s *Simulator) resetUniform(r *Result) {
+	amp := 1 / math.Sqrt(float64(int(1)<<uint(s.n)))
+	switch {
+	case r.soa32 != nil:
+		a := float32(amp)
+		for i := range r.soa32.Re {
+			r.soa32.Re[i] = a
+		}
+		clear(r.soa32.Im)
+	case r.soa != nil:
+		for i := range r.soa.Re {
+			r.soa.Re[i] = amp
+		}
+		clear(r.soa.Im)
+	default:
+		a := complex(amp, 0)
+		for i := range r.vec {
+			r.vec[i] = a
+		}
+	}
 }
 
 // bindResult checks that r's storage matches this simulator's backend
@@ -141,12 +173,12 @@ func (s *Simulator) applyLayer(r *Result, gamma, beta float64) {
 // applyLayerCtx applies e^{−iβM}·e^{−iγĈ}. On the default x-mixer
 // sweep path the phase folds into the first mixer pass (bit-identical
 // to the separate passes, one traversal cheaper); every other
-// configuration — xy mixers, the FWHT route, quantized/recomputed
-// phases, the SeparatePhase ablation, and auto shapes still
-// calibrating — runs the two operators separately. ctx gates only the
-// calibration path (see routeDecision.apply); it may be nil.
+// configuration — xy mixers, the FWHT route, recomputed phases, the
+// SeparatePhase ablation, and auto shapes still calibrating — runs the
+// two operators separately. ctx gates only the calibration path (see
+// routeDecision.apply); it may be nil.
 func (s *Simulator) applyLayerCtx(ctx context.Context, r *Result, gamma, beta float64) error {
-	if s.opts.Mixer == MixerX && !s.opts.SeparatePhase && !s.opts.RecomputePhase && s.quant == nil {
+	if s.opts.Mixer == MixerX && !s.opts.SeparatePhase && !s.opts.RecomputePhase {
 		route := s.route
 		if route == RouteAuto {
 			route = s.routeDec.decided()
@@ -160,26 +192,34 @@ func (s *Simulator) applyLayerCtx(ctx context.Context, r *Result, gamma, beta fl
 	return s.applyMixerCtx(ctx, r, beta)
 }
 
+// phase returns the phase operator e^{−iγĈ} for an evolution of r:
+// table-driven through r's workspace table when the diagonal lies on a
+// grid, sincos otherwise (bit-identical either way).
+func (s *Simulator) phase(r *Result, gamma float64) statevec.Phase {
+	return statevec.NewPhase(s.diag, gamma, &s.grid, &r.tab)
+}
+
 // applyFusedLayer dispatches the fused phase+mixer sweep kernels.
 func (s *Simulator) applyFusedLayer(r *Result, gamma, beta float64) {
+	ph := s.phase(r, gamma)
 	fused := s.opts.FusedMixer
 	switch {
 	case r.soa32 != nil && fused:
-		r.soa32.ApplyPhaseThenUniformRXFused(s.pool, s.diag, gamma, beta)
+		r.soa32.ApplyPhaseRXFused(s.pool, ph, beta)
 	case r.soa32 != nil:
-		r.soa32.ApplyPhaseThenUniformRX(s.pool, s.diag, gamma, beta)
+		r.soa32.ApplyPhaseRX(s.pool, ph, beta)
 	case r.soa != nil && fused:
-		r.soa.ApplyPhaseThenUniformRXFused(s.pool, s.diag, gamma, beta)
+		r.soa.ApplyPhaseRXFused(s.pool, ph, beta)
 	case r.soa != nil:
-		r.soa.ApplyPhaseThenUniformRX(s.pool, s.diag, gamma, beta)
+		r.soa.ApplyPhaseRX(s.pool, ph, beta)
 	case s.backend == BackendSerial && fused:
-		statevec.ApplyPhaseThenUniformRXFused(r.vec, s.diag, gamma, beta)
+		statevec.ApplyPhaseRXFused(r.vec, ph, beta)
 	case s.backend == BackendSerial:
-		statevec.ApplyPhaseThenUniformRX(r.vec, s.diag, gamma, beta)
+		statevec.ApplyPhaseRX(r.vec, ph, beta)
 	case fused:
-		s.pool.ApplyPhaseThenUniformRXFused(r.vec, s.diag, gamma, beta)
+		s.pool.ApplyPhaseRXFused(r.vec, ph, beta)
 	default:
-		s.pool.ApplyPhaseThenUniformRX(r.vec, s.diag, gamma, beta)
+		s.pool.ApplyPhaseRX(r.vec, ph, beta)
 	}
 }
 
@@ -188,31 +228,16 @@ func (s *Simulator) applyPhase(r *Result, gamma float64) {
 		s.applyPhaseRecompute(r, gamma)
 		return
 	}
+	ph := s.phase(r, gamma)
 	switch {
 	case r.soa32 != nil:
-		r.soa32.PhaseDiag(s.pool, s.diag, gamma)
+		r.soa32.ApplyPhase(s.pool, ph)
 	case r.soa != nil:
-		// The quantized path tabulates e^{−iγ(Min+Scale·k)} once per γ
-		// (≤ 2^16 entries) instead of 2^n sincos evaluations.
-		if s.quant != nil {
-			tab := s.quant.PhaseTable(gamma)
-			cosT, sinT := tableToSoA(tab, s.quant.Codes)
-			r.soa.PhaseFactors(s.pool, cosT, sinT)
-			return
-		}
-		r.soa.PhaseDiag(s.pool, s.diag, gamma)
+		r.soa.ApplyPhase(s.pool, ph)
 	case s.backend == BackendSerial:
-		if s.quant != nil {
-			s.quant.PhaseApply(nil, r.vec, gamma)
-			return
-		}
-		statevec.PhaseDiag(r.vec, s.diag, gamma)
+		statevec.ApplyPhase(r.vec, ph)
 	default:
-		if s.quant != nil {
-			s.quant.PhaseApply(s.pool, r.vec, gamma)
-			return
-		}
-		s.pool.PhaseDiag(r.vec, s.diag, gamma)
+		s.pool.ApplyPhase(r.vec, ph)
 	}
 }
 
@@ -250,22 +275,6 @@ func (s *Simulator) applyPhaseRecompute(r *Result, gamma float64) {
 		return
 	}
 	s.pool.Run(len(r.vec), apply)
-}
-
-// tableToSoA expands a per-code phase table into full-length cos/sin
-// factor arrays for the SoA kernel.
-func tableToSoA(tab []complex128, codes []uint16) (cosT, sinT []float64) {
-	cosT = make([]float64, len(codes))
-	sinT = make([]float64, len(codes))
-	for i, c := range codes {
-		cosT[i] = real(tab[c])
-		sinT[i] = imag(tab[c])
-	}
-	return cosT, sinT
-}
-
-func (s *Simulator) applyMixer(r *Result, beta float64) {
-	s.applyMixerCtx(nil, r, beta)
 }
 
 func (s *Simulator) applyMixerCtx(ctx context.Context, r *Result, beta float64) error {

@@ -143,3 +143,47 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestQueueStaysBoundedUnderSustainedLoad keeps the FIFO non-empty
+// through many tasks — every pop is matched by a push, so the queue
+// never drains and the drain-time rewind never fires. The consumed
+// prefix must still be reclaimed: the backing array stays within a
+// small multiple of the live backlog instead of growing with every
+// task ever pushed, and order stays strictly FIFO.
+func TestQueueStaysBoundedUnderSustainedLoad(t *testing.T) {
+	s := &Service{}
+	s.cond = sync.NewCond(&s.mu)
+	ctx := context.Background()
+
+	const backlog, tasks = 8, 10000
+	var pushed []*task
+	for i := 0; i < backlog; i++ {
+		tk := &task{ctx: ctx}
+		pushed = append(pushed, tk)
+		if err := s.push(tk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	maxCap := 0
+	for i := 0; i < tasks; i++ {
+		if got := s.pop(); got != pushed[i] {
+			t.Fatalf("pop %d returned a task out of FIFO order", i)
+		}
+		tk := &task{ctx: ctx}
+		pushed = append(pushed, tk)
+		if err := s.push(tk); err != nil {
+			t.Fatal(err)
+		}
+		s.mu.Lock()
+		if live := len(s.queue) - s.head; live != backlog {
+			s.mu.Unlock()
+			t.Fatalf("after task %d: %d live tasks, want %d", i, live, backlog)
+		}
+		maxCap = max(maxCap, cap(s.queue))
+		s.mu.Unlock()
+	}
+	if maxCap > 4*backlog {
+		t.Fatalf("queue capacity reached %d over %d tasks with a backlog of %d, want ≤ %d",
+			maxCap, tasks, backlog, 4*backlog)
+	}
+}

@@ -239,15 +239,12 @@ func (s *Service) bind() *elBuild {
 	}
 	// Pick the cheapest factory fitting the budget. The first build
 	// ever is exempt so a too-small budget degrades to one evaluator
-	// instead of a pool that can serve nothing.
+	// instead of a pool that can serve nothing. The exemption is keyed
+	// on charged bytes, not finished builds: usedBytes is charged before
+	// Factory.New runs, so only one of several concurrent cold binders
+	// can take it.
 	var slot *factorySlot
-	haveAny := false
-	for _, cand := range el.slots {
-		if len(cand.builds) > 0 {
-			haveAny = true
-			break
-		}
-	}
+	haveAny := el.usedBytes > 0
 	for _, cand := range el.slots {
 		if haveAny && el.opts.MemoryBudget > 0 && el.usedBytes+cand.caps.StateBytes > el.opts.MemoryBudget {
 			continue
@@ -363,13 +360,7 @@ func (s *Service) popElastic() *task {
 			s.mu.Unlock()
 			return nil // closed
 		}
-		t := s.queue[s.head]
-		s.queue[s.head] = nil
-		s.head++
-		if s.head == len(s.queue) {
-			s.queue = s.queue[:0]
-			s.head = 0
-		}
+		t := s.dequeueLocked()
 		s.mu.Unlock()
 		if err := t.ctx.Err(); err != nil {
 			s.finish(t, 0, err)

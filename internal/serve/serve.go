@@ -483,15 +483,7 @@ func (s *Service) pop() *task {
 			s.mu.Unlock()
 			return nil
 		}
-		t := s.queue[s.head]
-		s.queue[s.head] = nil
-		s.head++
-		if s.head == len(s.queue) {
-			// Drained: rewind so the backing array is reused, keeping the
-			// steady-state queue allocation-free.
-			s.queue = s.queue[:0]
-			s.head = 0
-		}
+		t := s.dequeueLocked()
 		s.mu.Unlock()
 		if err := t.ctx.Err(); err != nil {
 			s.finish(t, 0, err)
@@ -499,6 +491,31 @@ func (s *Service) pop() *task {
 		}
 		return t
 	}
+}
+
+// dequeueLocked removes and returns the oldest queued task; the
+// caller holds s.mu and has checked the queue is non-empty. The
+// consumed prefix is reclaimed as it grows: a drained queue rewinds,
+// and once head passes half the slice the live suffix slides to the
+// front. Under sustained load the queue therefore never drains, yet
+// its backing array stays within twice the peak backlog instead of
+// growing with every task ever pushed — and the amortized copy keeps
+// the steady state allocation-free.
+func (s *Service) dequeueLocked() *task {
+	t := s.queue[s.head]
+	s.queue[s.head] = nil
+	s.head++
+	switch live := len(s.queue) - s.head; {
+	case live == 0:
+		s.queue = s.queue[:0]
+		s.head = 0
+	case s.head > live:
+		copy(s.queue, s.queue[s.head:])
+		clear(s.queue[live:])
+		s.queue = s.queue[:live]
+		s.head = 0
+	}
+	return t
 }
 
 // tryRemove withdraws a still-queued task (cancellation of a waiting

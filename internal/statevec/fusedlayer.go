@@ -1,119 +1,97 @@
 package statevec
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
-// This file holds the fused phase+mixer layer kernels — the tentpole
-// of the kernel speed pass. A QAOA layer is one elementwise diagonal
-// phase multiply followed by the transverse-field mixer sweep; run
-// separately those cost two full memory traversals where the first
-// mixer pass could have absorbed the phase for free. Each kernel here
-// folds e^{−iγ·diag_x} into the first pass over the state (the qubit-0
-// butterfly of the per-qubit sweep, or the first RX⊗RX quadruple pass
-// of the F = 2 fused sweep), then finishes with the ordinary sweep
-// over the remaining qubits. On the memory-bandwidth-bound sizes
-// (n ≥ 20) this removes one traversal per layer.
+// This file holds the fused phase+mixer layer kernels. A QAOA layer is
+// one elementwise diagonal phase multiply followed by the
+// transverse-field mixer sweep; run separately those cost two full
+// memory traversals where the first mixer pass could have absorbed the
+// phase for free. Each kernel here folds e^{−iγ·c_x} into the first
+// pass over the state (the qubit-0 butterfly of the per-qubit sweep, or
+// the first RX⊗RX quadruple pass of the F = 2 fused sweep), then
+// finishes with the ordinary sweep over the remaining qubits.
 //
-// The fused kernels compute the exact arithmetic sequence of
-// PhaseDiag followed by the mixer — each amplitude is phased into a
-// local temporary and then rotated with the same expressions the
-// unfused kernels use — so their results are bit-identical to the
-// separate passes, not merely close.
+// The fused kernels compute the exact arithmetic sequence of the phase
+// followed by the mixer — each amplitude is phased into a local
+// temporary and then rotated with the same expressions the unfused
+// kernels use — so their results are bit-identical to the separate
+// passes, not merely close. The kernels take their factors from a
+// Phase (sincos or an exact table, see phase.go).
 
-// ApplyPhaseThenUniformRX applies e^{−iβΣX_i}·e^{−iγ·diag} in one
-// combined sweep: the phase is folded into the qubit-0 butterfly and
-// qubits 1..n−1 follow as plain Algorithm 1 passes.
-func ApplyPhaseThenUniformRX(v Vec, diag []float64, gamma, beta float64) {
-	if len(v) != len(diag) {
-		panic(fmt.Sprintf("statevec: ApplyPhaseThenUniformRX length mismatch %d vs %d", len(v), len(diag)))
-	}
+// ApplyPhaseThenUniformRXFused is the split-layout combined phase +
+// F = 2 fused sweep for a diagonal and γ, with sincos factors.
+func (s *SoA) ApplyPhaseThenUniformRXFused(p *Pool, diag []float64, gamma, beta float64) {
+	s.ApplyPhaseRXFused(p, Phase{Gamma: gamma, Diag: diag}, beta)
+}
+
+// ApplyPhaseRX applies e^{−iβΣX_i}·e^{−iγ·c} in one combined sweep:
+// the phase is folded into the qubit-0 butterfly and qubits 1..n−1
+// follow as plain Algorithm 1 passes.
+func ApplyPhaseRX(v Vec, ph Phase, beta float64) {
+	ph.check("ApplyPhaseRX", len(v))
 	n := v.NumQubits()
 	if n == 0 {
-		PhaseDiag(v, diag, gamma)
+		ApplyPhase(v, ph)
 		return
 	}
 	s64, c64 := math.Sincos(beta)
 	a, b := complex(c64, 0), complex(0, -s64)
-	ac, bc := conj(a), conj(b)
-	for l1 := 0; l1 < len(v); l1 += 2 {
-		l2 := l1 + 1
-		sn1, cs1 := math.Sincos(-gamma * diag[l1])
-		sn2, cs2 := math.Sincos(-gamma * diag[l2])
-		y1 := v[l1] * complex(cs1, sn1)
-		y2 := v[l2] * complex(cs2, sn2)
-		v[l1] = a*y1 - bc*y2
-		v[l2] = b*y1 + ac*y2
-	}
+	phaseRXRange(v, &ph, a, b, 0, len(v)/2)
 	for q := 1; q < n; q++ {
 		ApplySU2(v, q, a, b)
 	}
 }
 
-// ApplyPhaseThenUniformRX is the pool version of the combined
-// phase+mixer sweep.
-func (p *Pool) ApplyPhaseThenUniformRX(v Vec, diag []float64, gamma, beta float64) {
-	if len(v) != len(diag) {
-		panic(fmt.Sprintf("statevec: ApplyPhaseThenUniformRX length mismatch %d vs %d", len(v), len(diag)))
-	}
+// ApplyPhaseRX is the pool version of the combined phase+mixer sweep.
+func (p *Pool) ApplyPhaseRX(v Vec, ph Phase, beta float64) {
+	ph.check("ApplyPhaseRX", len(v))
 	n := v.NumQubits()
 	if n == 0 {
-		p.PhaseDiag(v, diag, gamma)
+		p.ApplyPhase(v, ph)
 		return
 	}
 	s64, c64 := math.Sincos(beta)
 	a, b := complex(c64, 0), complex(0, -s64)
-	ac, bc := conj(a), conj(b)
-	p.Run(len(v)/2, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			l1 := 2 * t
-			l2 := l1 + 1
-			sn1, cs1 := math.Sincos(-gamma * diag[l1])
-			sn2, cs2 := math.Sincos(-gamma * diag[l2])
-			y1 := v[l1] * complex(cs1, sn1)
-			y2 := v[l2] * complex(cs2, sn2)
-			v[l1] = a*y1 - bc*y2
-			v[l2] = b*y1 + ac*y2
-		}
-	})
+	p.Run(len(v)/2, func(lo, hi int) { phaseRXRange(v, &ph, a, b, lo, hi) })
 	for q := 1; q < n; q++ {
 		p.ApplySU2(v, q, a, b)
 	}
 }
 
-// ApplyPhaseThenUniformRXFused combines the phase with the F = 2
-// fused mixer: the phase folds into the first RX⊗RX quadruple pass
-// (qubits 0–1), the remaining pairs sweep as usual, and odd n
-// finishes with one single-qubit pass.
-func ApplyPhaseThenUniformRXFused(v Vec, diag []float64, gamma, beta float64) {
-	if len(v) != len(diag) {
-		panic(fmt.Sprintf("statevec: ApplyPhaseThenUniformRXFused length mismatch %d vs %d", len(v), len(diag)))
+// phaseRXRange phases and rotates the qubit-0 pairs [lo, hi).
+func phaseRXRange(v Vec, ph *Phase, a, b complex128, lo, hi int) {
+	ac, bc := conj(a), conj(b)
+	var cs, sn [phaseBlock]float64
+	for s := 2 * lo; s < 2*hi; s += phaseBlock {
+		c := cs[:min(phaseBlock, 2*hi-s)]
+		ph.fill(s, c, sn[:])
+		for j := 0; j < len(c); j += 2 {
+			l1 := s + j
+			l2 := l1 + 1
+			y1 := v[l1] * complex(c[j], sn[j])
+			y2 := v[l2] * complex(c[j+1], sn[j+1])
+			v[l1] = a*y1 - bc*y2
+			v[l2] = b*y1 + ac*y2
+		}
 	}
+}
+
+// ApplyPhaseRXFused combines the phase with the F = 2 fused mixer: the
+// phase folds into the first RX⊗RX quadruple pass (qubits 0–1), the
+// remaining pairs sweep as usual, and odd n finishes with one
+// single-qubit pass.
+func ApplyPhaseRXFused(v Vec, ph Phase, beta float64) {
+	ph.check("ApplyPhaseRXFused", len(v))
 	n := v.NumQubits()
 	if n < 2 {
-		ApplyPhaseThenUniformRX(v, diag, gamma, beta)
+		ApplyPhaseRX(v, ph, beta)
 		return
 	}
 	s, c := math.Sincos(beta)
 	cc := complex(c*c, 0)
 	ss := complex(-s*s, 0)
 	ics := complex(0, -c*s)
-	for i00 := 0; i00 < len(v); i00 += 4 {
-		i01, i10, i11 := i00+1, i00+2, i00+3
-		sn0, cs0 := math.Sincos(-gamma * diag[i00])
-		sn1, cs1 := math.Sincos(-gamma * diag[i01])
-		sn2, cs2 := math.Sincos(-gamma * diag[i10])
-		sn3, cs3 := math.Sincos(-gamma * diag[i11])
-		y00 := v[i00] * complex(cs0, sn0)
-		y01 := v[i01] * complex(cs1, sn1)
-		y10 := v[i10] * complex(cs2, sn2)
-		y11 := v[i11] * complex(cs3, sn3)
-		v[i00] = cc*y00 + ics*y01 + ics*y10 + ss*y11
-		v[i01] = ics*y00 + cc*y01 + ss*y10 + ics*y11
-		v[i10] = ics*y00 + ss*y01 + cc*y10 + ics*y11
-		v[i11] = ss*y00 + ics*y01 + ics*y10 + cc*y11
-	}
+	phaseRXPairRange(v, &ph, cc, ss, ics, 0, len(v)/4)
 	q := 2
 	for ; q+1 < n; q += 2 {
 		applyFusedRXPair(v, q, cc, ss, ics)
@@ -123,90 +101,82 @@ func ApplyPhaseThenUniformRXFused(v Vec, diag []float64, gamma, beta float64) {
 	}
 }
 
-// ApplyPhaseThenUniformRXFused is the pool version of the combined
-// phase + F = 2 fused sweep.
-func (p *Pool) ApplyPhaseThenUniformRXFused(v Vec, diag []float64, gamma, beta float64) {
-	if len(v) != len(diag) {
-		panic(fmt.Sprintf("statevec: ApplyPhaseThenUniformRXFused length mismatch %d vs %d", len(v), len(diag)))
-	}
+// ApplyPhaseRXFused is the pool version of the combined phase + F = 2
+// fused sweep.
+func (p *Pool) ApplyPhaseRXFused(v Vec, ph Phase, beta float64) {
+	ph.check("ApplyPhaseRXFused", len(v))
 	n := v.NumQubits()
 	if n < 2 {
-		p.ApplyPhaseThenUniformRX(v, diag, gamma, beta)
+		p.ApplyPhaseRX(v, ph, beta)
 		return
 	}
 	s, c := math.Sincos(beta)
 	cc := complex(c*c, 0)
 	ss := complex(-s*s, 0)
 	ics := complex(0, -c*s)
-	p.Run(len(v)/4, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			i00 := 4 * t
-			i01, i10, i11 := i00+1, i00+2, i00+3
-			sn0, cs0 := math.Sincos(-gamma * diag[i00])
-			sn1, cs1 := math.Sincos(-gamma * diag[i01])
-			sn2, cs2 := math.Sincos(-gamma * diag[i10])
-			sn3, cs3 := math.Sincos(-gamma * diag[i11])
-			y00 := v[i00] * complex(cs0, sn0)
-			y01 := v[i01] * complex(cs1, sn1)
-			y10 := v[i10] * complex(cs2, sn2)
-			y11 := v[i11] * complex(cs3, sn3)
-			v[i00] = cc*y00 + ics*y01 + ics*y10 + ss*y11
-			v[i01] = ics*y00 + cc*y01 + ss*y10 + ics*y11
-			v[i10] = ics*y00 + ss*y01 + cc*y10 + ics*y11
-			v[i11] = ss*y00 + ics*y01 + ics*y10 + cc*y11
-		}
-	})
+	p.Run(len(v)/4, func(lo, hi int) { phaseRXPairRange(v, &ph, cc, ss, ics, lo, hi) })
 	q := 2
 	for ; q+1 < n; q += 2 {
-		stride := 1 << uint(q)
-		mask := stride - 1
-		p.Run(len(v)/4, func(lo, hi int) {
-			for t := lo; t < hi; t++ {
-				i00 := (t>>uint(q))<<uint(q+2) | (t & mask)
-				i01 := i00 + stride
-				i10 := i00 + 2*stride
-				i11 := i01 + 2*stride
-				y00, y01, y10, y11 := v[i00], v[i01], v[i10], v[i11]
-				v[i00] = cc*y00 + ics*y01 + ics*y10 + ss*y11
-				v[i01] = ics*y00 + cc*y01 + ss*y10 + ics*y11
-				v[i10] = ics*y00 + ss*y01 + cc*y10 + ics*y11
-				v[i11] = ss*y00 + ics*y01 + ics*y10 + cc*y11
-			}
-		})
+		p.rxPairPass(v, q, cc, ss, ics)
 	}
 	if q < n {
 		p.ApplySU2(v, q, complex(c, 0), complex(0, -s))
 	}
 }
 
-// ApplyPhaseThenUniformRX is the split-layout combined sweep: phase
-// rotation and qubit-0 RX butterfly expanded into real arithmetic in
-// one pass, then plain ApplyRX passes for qubits 1..n−1.
-func (s *SoA) ApplyPhaseThenUniformRX(p *Pool, diag []float64, gamma, beta float64) {
-	if len(s.Re) != len(diag) {
-		panic(fmt.Sprintf("statevec: ApplyPhaseThenUniformRX length mismatch %d vs %d", len(s.Re), len(diag)))
+// phaseRXPairRange phases and rotates the qubit-(0, 1) quadruples
+// [lo, hi).
+func phaseRXPairRange(v Vec, ph *Phase, cc, ss, ics complex128, lo, hi int) {
+	var cs, sn [phaseBlock]float64
+	for s := 4 * lo; s < 4*hi; s += phaseBlock {
+		c := cs[:min(phaseBlock, 4*hi-s)]
+		ph.fill(s, c, sn[:])
+		for j := 0; j < len(c); j += 4 {
+			i00 := s + j
+			i01, i10, i11 := i00+1, i00+2, i00+3
+			y00 := v[i00] * complex(c[j], sn[j])
+			y01 := v[i01] * complex(c[j+1], sn[j+1])
+			y10 := v[i10] * complex(c[j+2], sn[j+2])
+			y11 := v[i11] * complex(c[j+3], sn[j+3])
+			v[i00] = cc*y00 + ics*y01 + ics*y10 + ss*y11
+			v[i01] = ics*y00 + cc*y01 + ss*y10 + ics*y11
+			v[i10] = ics*y00 + ss*y01 + cc*y10 + ics*y11
+			v[i11] = ss*y00 + ics*y01 + ics*y10 + cc*y11
+		}
 	}
+}
+
+// ApplyPhaseRX is the split-layout combined sweep: phase rotation and qubit-0 RX butterfly
+// expanded into real arithmetic in one pass, then the RX passes for
+// qubits 1..n−1.
+func (s *SoA) ApplyPhaseRX(p *Pool, ph Phase, beta float64) {
+	ph.check("ApplyPhaseRX", len(s.Re))
 	n := s.NumQubits()
 	if n == 0 {
-		s.PhaseDiag(p, diag, gamma)
+		s.ApplyPhase(p, ph)
 		return
 	}
 	sn, cs := math.Sincos(beta)
 	re, im := s.Re, s.Im
 	p.Run(len(re)/2, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			l1 := 2 * t
-			l2 := l1 + 1
-			p1s, p1c := math.Sincos(-gamma * diag[l1])
-			p2s, p2c := math.Sincos(-gamma * diag[l2])
-			r1 := re[l1]*p1c - im[l1]*p1s
-			i1 := re[l1]*p1s + im[l1]*p1c
-			r2 := re[l2]*p2c - im[l2]*p2s
-			i2 := re[l2]*p2s + im[l2]*p2c
-			re[l1] = cs*r1 + sn*i2
-			im[l1] = cs*i1 - sn*r2
-			re[l2] = cs*r2 + sn*i1
-			im[l2] = cs*i2 - sn*r1
+		var fc, fs [phaseBlock]float64
+		for b := 2 * lo; b < 2*hi; b += phaseBlock {
+			c := fc[:min(phaseBlock, 2*hi-b)]
+			ph.fill(b, c, fs[:])
+			for j := 0; j < len(c); j += 2 {
+				l1 := b + j
+				l2 := l1 + 1
+				p1s, p1c := fs[j], c[j]
+				p2s, p2c := fs[j+1], c[j+1]
+				r1 := re[l1]*p1c - im[l1]*p1s
+				i1 := re[l1]*p1s + im[l1]*p1c
+				r2 := re[l2]*p2c - im[l2]*p2s
+				i2 := re[l2]*p2s + im[l2]*p2c
+				re[l1] = cs*r1 + sn*i2
+				im[l1] = cs*i1 - sn*r2
+				re[l2] = cs*r2 + sn*i1
+				im[l2] = cs*i2 - sn*r1
+			}
 		}
 	})
 	for q := 1; q < n; q++ {
@@ -214,15 +184,13 @@ func (s *SoA) ApplyPhaseThenUniformRX(p *Pool, diag []float64, gamma, beta float
 	}
 }
 
-// ApplyPhaseThenUniformRXFused is the split-layout combined phase +
-// F = 2 fused sweep.
-func (sv *SoA) ApplyPhaseThenUniformRXFused(p *Pool, diag []float64, gamma, beta float64) {
-	if len(sv.Re) != len(diag) {
-		panic(fmt.Sprintf("statevec: ApplyPhaseThenUniformRXFused length mismatch %d vs %d", len(sv.Re), len(diag)))
-	}
+// ApplyPhaseRXFused is the split-layout combined phase + F = 2 fused
+// sweep.
+func (sv *SoA) ApplyPhaseRXFused(p *Pool, ph Phase, beta float64) {
+	ph.check("ApplyPhaseRXFused", len(sv.Re))
 	n := sv.NumQubits()
 	if n < 2 {
-		sv.ApplyPhaseThenUniformRX(p, diag, gamma, beta)
+		sv.ApplyPhaseRX(p, ph, beta)
 		return
 	}
 	s, c := math.Sincos(beta)
@@ -231,45 +199,25 @@ func (sv *SoA) ApplyPhaseThenUniformRXFused(p *Pool, diag []float64, gamma, beta
 	cs := c * s
 	re, im := sv.Re, sv.Im
 	p.Run(len(re)/4, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			i00 := 4 * t
-			i01, i10, i11 := i00+1, i00+2, i00+3
-			p0s, p0c := math.Sincos(-gamma * diag[i00])
-			p1s, p1c := math.Sincos(-gamma * diag[i01])
-			p2s, p2c := math.Sincos(-gamma * diag[i10])
-			p3s, p3c := math.Sincos(-gamma * diag[i11])
-			r00 := re[i00]*p0c - im[i00]*p0s
-			m00 := re[i00]*p0s + im[i00]*p0c
-			r01 := re[i01]*p1c - im[i01]*p1s
-			m01 := re[i01]*p1s + im[i01]*p1c
-			r10 := re[i10]*p2c - im[i10]*p2s
-			m10 := re[i10]*p2s + im[i10]*p2c
-			r11 := re[i11]*p3c - im[i11]*p3s
-			m11 := re[i11]*p3s + im[i11]*p3c
-			re[i00] = cc*r00 + cs*(m01+m10) - ss*r11
-			im[i00] = cc*m00 - cs*(r01+r10) - ss*m11
-			re[i01] = cc*r01 + cs*(m00+m11) - ss*r10
-			im[i01] = cc*m01 - cs*(r00+r11) - ss*m10
-			re[i10] = cc*r10 + cs*(m00+m11) - ss*r01
-			im[i10] = cc*m10 - cs*(r00+r11) - ss*m01
-			re[i11] = cc*r11 + cs*(m01+m10) - ss*r00
-			im[i11] = cc*m11 - cs*(r01+r10) - ss*m00
-		}
-	})
-	q := 2
-	for ; q+1 < n; q += 2 {
-		stride := 1 << uint(q)
-		mask := stride - 1
-		p.Run(len(re)/4, func(lo, hi int) {
-			for t := lo; t < hi; t++ {
-				i00 := (t>>uint(q))<<uint(q+2) | (t & mask)
-				i01 := i00 + stride
-				i10 := i00 + 2*stride
-				i11 := i01 + 2*stride
-				r00, m00 := re[i00], im[i00]
-				r01, m01 := re[i01], im[i01]
-				r10, m10 := re[i10], im[i10]
-				r11, m11 := re[i11], im[i11]
+		var fc, fs [phaseBlock]float64
+		for b := 4 * lo; b < 4*hi; b += phaseBlock {
+			f := fc[:min(phaseBlock, 4*hi-b)]
+			ph.fill(b, f, fs[:])
+			for j := 0; j < len(f); j += 4 {
+				i00 := b + j
+				i01, i10, i11 := i00+1, i00+2, i00+3
+				p0s, p0c := fs[j], f[j]
+				p1s, p1c := fs[j+1], f[j+1]
+				p2s, p2c := fs[j+2], f[j+2]
+				p3s, p3c := fs[j+3], f[j+3]
+				r00 := re[i00]*p0c - im[i00]*p0s
+				m00 := re[i00]*p0s + im[i00]*p0c
+				r01 := re[i01]*p1c - im[i01]*p1s
+				m01 := re[i01]*p1s + im[i01]*p1c
+				r10 := re[i10]*p2c - im[i10]*p2s
+				m10 := re[i10]*p2s + im[i10]*p2c
+				r11 := re[i11]*p3c - im[i11]*p3s
+				m11 := re[i11]*p3s + im[i11]*p3c
 				re[i00] = cc*r00 + cs*(m01+m10) - ss*r11
 				im[i00] = cc*m00 - cs*(r01+r10) - ss*m11
 				re[i01] = cc*r01 + cs*(m00+m11) - ss*r10
@@ -279,45 +227,50 @@ func (sv *SoA) ApplyPhaseThenUniformRXFused(p *Pool, diag []float64, gamma, beta
 				re[i11] = cc*r11 + cs*(m01+m10) - ss*r00
 				im[i11] = cc*m11 - cs*(r01+r10) - ss*m00
 			}
-		})
+		}
+	})
+	q := 2
+	for ; q+1 < n; q += 2 {
+		sv.rxPairPass(p, q, cc, ss, cs)
 	}
 	if q < n {
 		sv.ApplyRX(p, q, beta)
 	}
 }
 
-// ApplyPhaseThenUniformRX is the single-precision combined sweep.
-// Phase factors and rotation coefficients are evaluated in float64
-// and rounded once; the amplitude arithmetic is float32, matching the
-// unfused PhaseDiag→ApplyRX sequence bit for bit.
-func (s *SoA32) ApplyPhaseThenUniformRX(p *Pool, diag []float64, gamma, beta float64) {
-	if len(s.Re) != len(diag) {
-		panic(fmt.Sprintf("statevec: ApplyPhaseThenUniformRX length mismatch %d vs %d", len(s.Re), len(diag)))
-	}
+// ApplyPhaseRX is the single-precision combined sweep. Phase factors
+// and rotation coefficients are evaluated in float64 and rounded once;
+// the amplitude arithmetic is float32, matching the unfused
+// ApplyPhase→ApplyRX sequence bit for bit.
+func (s *SoA32) ApplyPhaseRX(p *Pool, ph Phase, beta float64) {
+	ph.check("ApplyPhaseRX", len(s.Re))
 	n := s.NumQubits()
 	if n == 0 {
-		s.PhaseDiag(p, diag, gamma)
+		s.ApplyPhase(p, ph)
 		return
 	}
 	sn64, cs64 := math.Sincos(beta)
 	sn, cs := float32(sn64), float32(cs64)
 	re, im := s.Re, s.Im
 	p.Run(len(re)/2, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			l1 := 2 * t
-			l2 := l1 + 1
-			p1s64, p1c64 := math.Sincos(-gamma * diag[l1])
-			p2s64, p2c64 := math.Sincos(-gamma * diag[l2])
-			p1s, p1c := float32(p1s64), float32(p1c64)
-			p2s, p2c := float32(p2s64), float32(p2c64)
-			r1 := re[l1]*p1c - im[l1]*p1s
-			i1 := re[l1]*p1s + im[l1]*p1c
-			r2 := re[l2]*p2c - im[l2]*p2s
-			i2 := re[l2]*p2s + im[l2]*p2c
-			re[l1] = cs*r1 + sn*i2
-			im[l1] = cs*i1 - sn*r2
-			re[l2] = cs*r2 + sn*i1
-			im[l2] = cs*i2 - sn*r1
+		var fc, fs [phaseBlock]float64
+		for b := 2 * lo; b < 2*hi; b += phaseBlock {
+			c := fc[:min(phaseBlock, 2*hi-b)]
+			ph.fill(b, c, fs[:])
+			for j := 0; j < len(c); j += 2 {
+				l1 := b + j
+				l2 := l1 + 1
+				p1s, p1c := float32(fs[j]), float32(c[j])
+				p2s, p2c := float32(fs[j+1]), float32(c[j+1])
+				r1 := re[l1]*p1c - im[l1]*p1s
+				i1 := re[l1]*p1s + im[l1]*p1c
+				r2 := re[l2]*p2c - im[l2]*p2s
+				i2 := re[l2]*p2s + im[l2]*p2c
+				re[l1] = cs*r1 + sn*i2
+				im[l1] = cs*i1 - sn*r2
+				re[l2] = cs*r2 + sn*i1
+				im[l2] = cs*i2 - sn*r1
+			}
 		}
 	})
 	for q := 1; q < n; q++ {
@@ -325,15 +278,13 @@ func (s *SoA32) ApplyPhaseThenUniformRX(p *Pool, diag []float64, gamma, beta flo
 	}
 }
 
-// ApplyPhaseThenUniformRXFused is the single-precision combined phase
-// + F = 2 fused sweep.
-func (s *SoA32) ApplyPhaseThenUniformRXFused(p *Pool, diag []float64, gamma, beta float64) {
-	if len(s.Re) != len(diag) {
-		panic(fmt.Sprintf("statevec: ApplyPhaseThenUniformRXFused length mismatch %d vs %d", len(s.Re), len(diag)))
-	}
+// ApplyPhaseRXFused is the single-precision combined phase + F = 2
+// fused sweep.
+func (s *SoA32) ApplyPhaseRXFused(p *Pool, ph Phase, beta float64) {
+	ph.check("ApplyPhaseRXFused", len(s.Re))
 	n := s.NumQubits()
 	if n < 2 {
-		s.ApplyPhaseThenUniformRX(p, diag, gamma, beta)
+		s.ApplyPhaseRX(p, ph, beta)
 		return
 	}
 	sn64, cs64 := math.Sincos(beta)
@@ -342,49 +293,25 @@ func (s *SoA32) ApplyPhaseThenUniformRXFused(p *Pool, diag []float64, gamma, bet
 	cs := float32(cs64 * sn64)
 	re, im := s.Re, s.Im
 	p.Run(len(re)/4, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			i00 := 4 * t
-			i01, i10, i11 := i00+1, i00+2, i00+3
-			p0s64, p0c64 := math.Sincos(-gamma * diag[i00])
-			p1s64, p1c64 := math.Sincos(-gamma * diag[i01])
-			p2s64, p2c64 := math.Sincos(-gamma * diag[i10])
-			p3s64, p3c64 := math.Sincos(-gamma * diag[i11])
-			p0s, p0c := float32(p0s64), float32(p0c64)
-			p1s, p1c := float32(p1s64), float32(p1c64)
-			p2s, p2c := float32(p2s64), float32(p2c64)
-			p3s, p3c := float32(p3s64), float32(p3c64)
-			r00 := re[i00]*p0c - im[i00]*p0s
-			m00 := re[i00]*p0s + im[i00]*p0c
-			r01 := re[i01]*p1c - im[i01]*p1s
-			m01 := re[i01]*p1s + im[i01]*p1c
-			r10 := re[i10]*p2c - im[i10]*p2s
-			m10 := re[i10]*p2s + im[i10]*p2c
-			r11 := re[i11]*p3c - im[i11]*p3s
-			m11 := re[i11]*p3s + im[i11]*p3c
-			re[i00] = cc*r00 + cs*(m01+m10) - ss*r11
-			im[i00] = cc*m00 - cs*(r01+r10) - ss*m11
-			re[i01] = cc*r01 + cs*(m00+m11) - ss*r10
-			im[i01] = cc*m01 - cs*(r00+r11) - ss*m10
-			re[i10] = cc*r10 + cs*(m00+m11) - ss*r01
-			im[i10] = cc*m10 - cs*(r00+r11) - ss*m01
-			re[i11] = cc*r11 + cs*(m01+m10) - ss*r00
-			im[i11] = cc*m11 - cs*(r01+r10) - ss*m00
-		}
-	})
-	q := 2
-	for ; q+1 < n; q += 2 {
-		stride := 1 << uint(q)
-		mask := stride - 1
-		p.Run(len(re)/4, func(lo, hi int) {
-			for t := lo; t < hi; t++ {
-				i00 := (t>>uint(q))<<uint(q+2) | (t & mask)
-				i01 := i00 + stride
-				i10 := i00 + 2*stride
-				i11 := i01 + 2*stride
-				r00, m00 := re[i00], im[i00]
-				r01, m01 := re[i01], im[i01]
-				r10, m10 := re[i10], im[i10]
-				r11, m11 := re[i11], im[i11]
+		var fc, fs [phaseBlock]float64
+		for b := 4 * lo; b < 4*hi; b += phaseBlock {
+			f := fc[:min(phaseBlock, 4*hi-b)]
+			ph.fill(b, f, fs[:])
+			for j := 0; j < len(f); j += 4 {
+				i00 := b + j
+				i01, i10, i11 := i00+1, i00+2, i00+3
+				p0s, p0c := float32(fs[j]), float32(f[j])
+				p1s, p1c := float32(fs[j+1]), float32(f[j+1])
+				p2s, p2c := float32(fs[j+2]), float32(f[j+2])
+				p3s, p3c := float32(fs[j+3]), float32(f[j+3])
+				r00 := re[i00]*p0c - im[i00]*p0s
+				m00 := re[i00]*p0s + im[i00]*p0c
+				r01 := re[i01]*p1c - im[i01]*p1s
+				m01 := re[i01]*p1s + im[i01]*p1c
+				r10 := re[i10]*p2c - im[i10]*p2s
+				m10 := re[i10]*p2s + im[i10]*p2c
+				r11 := re[i11]*p3c - im[i11]*p3s
+				m11 := re[i11]*p3s + im[i11]*p3c
 				re[i00] = cc*r00 + cs*(m01+m10) - ss*r11
 				im[i00] = cc*m00 - cs*(r01+r10) - ss*m11
 				re[i01] = cc*r01 + cs*(m00+m11) - ss*r10
@@ -394,7 +321,11 @@ func (s *SoA32) ApplyPhaseThenUniformRXFused(p *Pool, diag []float64, gamma, bet
 				re[i11] = cc*r11 + cs*(m01+m10) - ss*r00
 				im[i11] = cc*m11 - cs*(r01+r10) - ss*m00
 			}
-		})
+		}
+	})
+	q := 2
+	for ; q+1 < n; q += 2 {
+		s.rxPairPass(p, q, cc, ss, cs)
 	}
 	if q < n {
 		s.ApplyRX(p, q, beta)

@@ -44,27 +44,28 @@ func TestFusedLayerMatchesUnfused(t *testing.T) {
 			}
 		}
 
+		ph := Phase{Gamma: gamma, Diag: diag}
 		fused := v.Clone()
-		ApplyPhaseThenUniformRX(fused, diag, gamma, beta)
+		ApplyPhaseRX(fused, ph, beta)
 		check("serial", fused, want)
 
 		fusedPair := v.Clone()
-		ApplyPhaseThenUniformRXFused(fusedPair, diag, gamma, beta)
+		ApplyPhaseRXFused(fusedPair, ph, beta)
 		check("serial pair-fused", fusedPair, wantPair)
 
 		for _, workers := range []int{1, 3} {
 			p := NewPool(workers)
 			p.minParallel = 1
 			pf := v.Clone()
-			p.ApplyPhaseThenUniformRX(pf, diag, gamma, beta)
+			p.ApplyPhaseRX(pf, ph, beta)
 			check("pool", pf, want)
 
 			pfp := v.Clone()
-			p.ApplyPhaseThenUniformRXFused(pfp, diag, gamma, beta)
+			p.ApplyPhaseRXFused(pfp, ph, beta)
 			check("pool pair-fused", pfp, wantPair)
 
 			soa := SoAFromVec(v)
-			soa.ApplyPhaseThenUniformRX(p, diag, gamma, beta)
+			soa.ApplyPhaseRX(p, ph, beta)
 			soaWant := SoAFromVec(v)
 			soaWant.PhaseDiag(p, diag, gamma)
 			soaWant.ApplyUniformRX(p, beta)
@@ -78,14 +79,14 @@ func TestFusedLayerMatchesUnfused(t *testing.T) {
 			check("soa pair-fused", soaPair.ToVec(), soaPairWant.ToVec())
 
 			soa32 := SoA32FromVec(v)
-			soa32.ApplyPhaseThenUniformRX(p, diag, gamma, beta)
+			soa32.ApplyPhaseRX(p, ph, beta)
 			soa32Want := SoA32FromVec(v)
 			soa32Want.PhaseDiag(p, diag, gamma)
 			soa32Want.ApplyUniformRX(p, beta)
 			check("soa32", soa32.ToVec(), soa32Want.ToVec())
 
 			soa32Pair := SoA32FromVec(v)
-			soa32Pair.ApplyPhaseThenUniformRXFused(p, diag, gamma, beta)
+			soa32Pair.ApplyPhaseRXFused(p, ph, beta)
 			soa32PairWant := SoA32FromVec(v)
 			soa32PairWant.PhaseDiag(p, diag, gamma)
 			soa32PairWant.ApplyUniformRXFused(p, beta)
@@ -121,7 +122,7 @@ func TestFusedLayerOddTail(t *testing.T) {
 	for i := range diag {
 		diag[i] = float64(i%7) - 3
 	}
-	ApplyPhaseThenUniformRXFused(v, diag, 0.9, 0.4)
+	ApplyPhaseRXFused(v, Phase{Gamma: 0.9, Diag: diag}, 0.4)
 	if d := v.Norm(); d < 1-1e-12 || d > 1+1e-12 {
 		t.Fatalf("odd-n pair-fused layer broke the norm: %v", d)
 	}

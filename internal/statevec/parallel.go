@@ -72,7 +72,7 @@ func (p *Pool) runParallel(n int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// reduce runs fn over [0, n) in chunks, collecting one float64 partial
+// Reduce runs fn over [0, n) in chunks, collecting one float64 partial
 // result per chunk and returning the sum.
 func (p *Pool) Reduce(n int, fn func(lo, hi int) float64) float64 {
 	if p == nil || p.Workers <= 1 || n < p.minParallel {
@@ -212,15 +212,7 @@ func (p *Pool) Apply2Q(v Vec, q1, q2 int, u [4][4]complex128) {
 
 // PhaseDiag is the pool version of the phase operator.
 func (p *Pool) PhaseDiag(v Vec, diag []float64, gamma float64) {
-	if len(v) != len(diag) {
-		panic(fmt.Sprintf("statevec: PhaseDiag length mismatch %d vs %d", len(v), len(diag)))
-	}
-	p.Run(len(v), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s, c := math.Sincos(-gamma * diag[i])
-			v[i] *= complex(c, s)
-		}
-	})
+	p.ApplyPhase(v, Phase{Gamma: gamma, Diag: diag})
 }
 
 // ExpectationDiag is the pool version of the objective inner product.

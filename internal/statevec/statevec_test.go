@@ -525,27 +525,6 @@ func TestSoAKernelsMatchAoS(t *testing.T) {
 	}
 }
 
-func TestSoAPhaseFactors(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	p := NewPool(1)
-	v := randomState(rng, 4)
-	diag := make([]float64, len(v))
-	cosT := make([]float64, len(v))
-	sinT := make([]float64, len(v))
-	gamma := 0.55
-	for i := range diag {
-		diag[i] = rng.NormFloat64()
-		sinT[i], cosT[i] = math.Sincos(-gamma * diag[i])
-	}
-	a := SoAFromVec(v)
-	b := SoAFromVec(v)
-	a.PhaseDiag(p, diag, gamma)
-	b.PhaseFactors(p, cosT, sinT)
-	if d := MaxAbsDiff(a.ToVec(), b.ToVec()); d > tol {
-		t.Errorf("PhaseFactors vs PhaseDiag: %g", d)
-	}
-}
-
 func TestNewUniformSoA(t *testing.T) {
 	a := NewSoAUniform(5).ToVec()
 	b := NewUniform(5)

@@ -156,6 +156,73 @@ func TestSweepGradConcurrentEngines(t *testing.T) {
 	}
 }
 
+// TestSweepGradPhaseTableConcurrent is the race check for the per-γ
+// phase tables: they live in each worker's gradient workspace, never on
+// the shared Simulator, so concurrent gradient sweeps with different
+// angle sets over one shared table-driven simulator (float64 grid and
+// quantized codes) must each reproduce their own sequential results
+// bit for bit.
+func TestSweepGradPhaseTableConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(58))
+	const n, p, count = 10, 3, 12
+	for _, opts := range []core.Options{{Workers: 2}, {Workers: 2, Quantize: true}} {
+		sim, err := core.New(n, problems.LABSTerms(n), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Even clients share one engine; odd clients each own one. Each
+		// client's reference comes from a sequential run at its own
+		// engine size, since reductions may regroup with the pool.
+		const clients = 6
+		engineWorkers := func(k int) int {
+			if k%2 == 0 {
+				return 3
+			}
+			return 1 + k%3
+		}
+		sets := make([][]sweep.Point, clients)
+		want := make([][]sweep.GradResult, clients)
+		for k := range sets {
+			sets[k] = randomPoints(rng, count, p)
+			want[k], err = sweep.New(sim, sweep.Options{Workers: engineWorkers(k)}).SweepGrad(context.Background(), sets[k], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		shared := sweep.New(sim, sweep.Options{Workers: engineWorkers(0)})
+		var wg sync.WaitGroup
+		for k := 0; k < clients; k++ {
+			wg.Add(1)
+			go func(k int) {
+				defer wg.Done()
+				eng := shared
+				if k%2 == 1 {
+					eng = sweep.New(sim, sweep.Options{Workers: engineWorkers(k)})
+				}
+				for rep := 0; rep < 3; rep++ {
+					res, err := eng.SweepGrad(context.Background(), sets[k], nil)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for i := range res {
+						w := want[k][i]
+						if res[i].Energy != w.Energy {
+							t.Errorf("quantize=%v client %d point %d: energy %v != %v", opts.Quantize, k, i, res[i].Energy, w.Energy)
+						}
+						for l := 0; l < p; l++ {
+							if res[i].GradGamma[l] != w.GradGamma[l] || res[i].GradBeta[l] != w.GradBeta[l] {
+								t.Errorf("quantize=%v client %d point %d layer %d: gradient differs", opts.Quantize, k, i, l)
+							}
+						}
+					}
+				}
+			}(k)
+		}
+		wg.Wait()
+	}
+}
+
 // TestSweepGradZeroAllocsPerPoint pins the buffer-reuse contract
 // exactly on the serial backend (no goroutine machinery): a warmed-up
 // gradient sweep through a retained result slice performs zero
