@@ -330,8 +330,9 @@ func BenchmarkGateCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkMixerKernels isolates the three mixer kernel families of
-// §III-B on one qubit sweep (Algorithm 2).
+// BenchmarkMixerKernels isolates the mixer kernel families of §III-B:
+// Algorithm 2's per-qubit sweep, its F = 2 pair-fused form, and the
+// Ref. [43] transform method.
 func BenchmarkMixerKernels(b *testing.B) {
 	n := 18
 	pool := statevec.NewPool(0)
@@ -342,11 +343,11 @@ func BenchmarkMixerKernels(b *testing.B) {
 			statevec.ApplyUniformRX(v, 0.57)
 		}
 	})
-	b.Run("pooled-complex128", func(b *testing.B) {
+	b.Run("pooled-complex128-f2", func(b *testing.B) {
 		v := statevec.NewUniform(n)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			pool.ApplyUniformRX(v, 0.57)
+			pool.ApplyUniformRXFused(v, 0.57)
 		}
 	})
 	b.Run("soa-float64", func(b *testing.B) {

@@ -23,7 +23,7 @@ func TestRunnersSmoke(t *testing.T) {
 		{"fig2", runFig2, []string{"-nmin", "6", "-nmax", "8", "-reps", "1", "-p", "2"},
 			[]string{"qokit-cpu", "qiskit-analog", "Speedup"}},
 		{"fig3", runFig3, []string{"-nmin", "6", "-nmax", "8", "-tnmax", "6", "-reps", "1"},
-			[]string{"qokit-soa-fused", "tn-size", "Derived ratios"}},
+			[]string{"qokit-soa", "tn-size", "Derived ratios"}},
 		{"fig4", runFig4, []string{"-n", "8", "-pmax", "16", "-reps", "1"},
 			[]string{"crossover", "additivity check", "gates"}},
 		{"fig5", runFig5, []string{"-local", "8", "-kmax", "4", "-reps", "1"},
@@ -87,7 +87,7 @@ func TestSuiteJSONRoundTrips(t *testing.T) {
 		t.Errorf("schema = %q", report.Schema)
 	}
 	want := []string{"forward", "grad", "sweep", "registry_cache_hit",
-		"unfused_layer", "fused_layer", "fwht_mixer",
+		"unfused_layer", "fused_layer",
 		"lightcone_energy", "lightcone_grad",
 		"distributed_forward", "distributed_grad",
 		"distributed_forward_float32", "distributed_grad_float32", "distributed_grad_quantized",

@@ -6,12 +6,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 
 	"qokit/internal/benchutil"
 	"qokit/internal/cluster"
 	"qokit/internal/core"
+	"qokit/internal/costvec"
 	"qokit/internal/distsim"
 	"qokit/internal/evaluator"
 	"qokit/internal/grad"
@@ -21,6 +23,7 @@ import (
 	"qokit/internal/problems"
 	"qokit/internal/registry"
 	"qokit/internal/serve"
+	"qokit/internal/statevec"
 	"qokit/internal/sweep"
 )
 
@@ -47,9 +50,9 @@ type suiteConfig struct {
 	Points int `json:"sweep_points"`
 	Reps   int `json:"reps"`
 	// KernelN is the qubit count of the kernel-speed rows
-	// (unfused_layer, fused_layer, fwht_mixer) — larger than N so the
-	// state outgrows cache and the rows measure memory traffic, the
-	// regime the fused and FWHT kernels target.
+	// (unfused_layer, fused_layer) — larger than N so the state
+	// outgrows cache and the rows measure memory traffic, the regime
+	// the fused layer targets.
 	KernelN int `json:"kernel_n"`
 	// LightConeN is the vertex count of the light-cone rows
 	// (lightcone_energy, lightcone_grad) — a 3-regular MaxCut instance
@@ -236,41 +239,53 @@ func runSuite(w io.Writer, args []string) error {
 		SecondsPerUnit: tReg.Seconds() / float64(*points),
 	})
 
-	// Kernel speed: one p-layer evolution at the larger kernelN over
-	// the default (SoA) backend — the separate phase + per-qubit sweep
-	// the repository started from, the fused single-pass layer (phase
-	// folded into the first pass of the F = 2 pair-fused sweep), and
-	// the cache-blocked FWHT mixer route. The sweep rows pin
-	// RouteSweep so no auto-calibration runs inside a timing window. A
-	// synthetic diagonal keeps setup cheap at the larger size; the
-	// evolution cost does not depend on the diagonal's values.
+	// Kernel speed: one p-layer evolution at the larger kernelN.
+	// fused_layer is the default simulator, whose layer folds the phase
+	// into the first pass of the F = 2 pair-fused sweep. unfused_layer is
+	// the fusion ablation: the layer the repository started from, a
+	// separate phase pass then Algorithm 2's per-qubit sweep, called on
+	// the SoA kernels directly with the same phase table. A synthetic
+	// diagonal keeps setup cheap at the larger size; the evolution cost
+	// does not depend on the diagonal's values.
 	kdiag := make([]float64, 1<<uint(*kernelN))
 	for i := range kdiag {
 		kdiag[i] = float64((i*2654435761)%31) - 15
 	}
+	ksim, err := core.NewFromDiagonal(*kernelN, kdiag, core.Options{})
+	if err != nil {
+		return err
+	}
+	kres := ksim.NewResult()
+	kpool := statevec.NewPool(0)
+	kgrid := statevec.DiagGrid(kdiag, costvec.AutoScales, statevec.MaxPhaseLevels)
+	var ktab statevec.PhaseTable
+	kstate := statevec.NewSoA(*kernelN)
+	kamp := 1 / math.Sqrt(float64(len(kdiag)))
 	for _, kv := range []struct {
-		name string
-		opts core.Options
+		name    string
+		workers int
+		run     func()
 	}{
-		{"unfused_layer", core.Options{SeparatePhase: true, MixerRoute: core.RouteSweep}},
-		{"fused_layer", core.Options{FusedMixer: true, MixerRoute: core.RouteSweep}},
-		{"fwht_mixer", core.Options{MixerRoute: core.RouteFWHT}},
-	} {
-		ksim, err := core.NewFromDiagonal(*kernelN, kdiag, kv.opts)
-		if err != nil {
-			return err
-		}
-		kres := ksim.NewResult()
-		if err := ksim.SimulateQAOAInto(kres, gamma, beta); err != nil {
-			return err
-		}
-		tK, _ := benchutil.TimeRepeat(*reps, func() {
+		{"unfused_layer", kpool.Workers, func() {
+			for i := range kstate.Re {
+				kstate.Re[i] = kamp
+			}
+			clear(kstate.Im)
+			for l := range gamma {
+				kstate.ApplyPhase(kpool, statevec.NewPhase(kdiag, gamma[l], &kgrid, &ktab))
+				kstate.ApplyUniformRX(kpool, beta[l])
+			}
+		}},
+		{"fused_layer", ksim.Workers(), func() {
 			if err := ksim.SimulateQAOAInto(kres, gamma, beta); err != nil {
 				panic(err)
 			}
-		})
+		}},
+	} {
+		kv.run()
+		tK, _ := benchutil.TimeRepeat(*reps, kv.run)
 		report.Benchmarks = append(report.Benchmarks, suiteBenchmark{
-			Name: kv.name, N: *kernelN, P: *p, Workers: ksim.Workers(),
+			Name: kv.name, N: *kernelN, P: *p, Workers: kv.workers,
 			SecondsPerOp:   tK.Seconds(),
 			SecondsPerUnit: tK.Seconds() / float64(*p),
 		})

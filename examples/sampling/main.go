@@ -38,7 +38,7 @@ func run(w io.Writer) error {
 	terms := qokit.LABSTerms(n)
 	optE, _ := qokit.LABSOptimalEnergy(n)
 
-	sim, err := qokit.NewSimulator(n, terms, qokit.Options{FusedMixer: true})
+	sim, err := qokit.NewSimulator(n, terms, qokit.Options{})
 	if err != nil {
 		return err
 	}

@@ -4,9 +4,18 @@
 // evaluates QAOA circuits |γ,β⟩ = Π_l e^{−iβ_l M} e^{−iγ_l Ĉ} |s⟩ for
 // arbitrarily many parameter sets, which is exactly the access pattern
 // of QAOA parameter optimization. Per layer it performs one
-// elementwise diagonal multiply (phase operator) and one mixer sweep
-// (Algorithm 2 or the xy SU(4) analogues); the objective
-// ⟨γ,β|Ĉ|γ,β⟩ is a single inner product against the cached diagonal.
+// elementwise diagonal multiply (phase operator) and one mixer sweep;
+// the objective ⟨γ,β|Ĉ|γ,β⟩ is a single inner product against the
+// cached diagonal.
+//
+// The transverse-field layer has one form per backend. The pooled
+// backends run §VI's "gate fusion with F = 2": the mixer sweeps
+// qubits two at a time (RX⊗RX on amplitude quadruples), and the phase
+// folds into the first of those passes, so a layer costs ⌈n/2⌉
+// traversals of the state. The Serial backend runs Algorithm 2
+// literally, one qubit per pass, and is the reference every
+// cross-backend differential test compares against. The xy mixers
+// sweep their SU(4) factors edge by edge on every backend.
 //
 // Three single-node backends mirror QOKit's simulator classes:
 //
@@ -105,9 +114,11 @@ func (m Mixer) String() string {
 	}
 }
 
-// Options configures a Simulator. The zero value requests the auto
-// backend, the transverse-field mixer, a GOMAXPROCS-sized pool and a
-// float64 diagonal.
+// Options configures a Simulator. The zero value is the fastest
+// configuration measured: the SoA backend running the F = 2
+// pair-fused transverse-field layer on a GOMAXPROCS-sized pool, over a
+// float64 diagonal. How the layer executes is fixed per backend; see
+// the package doc.
 type Options struct {
 	Backend Backend
 	Mixer   Mixer
@@ -117,17 +128,6 @@ type Options struct {
 	// construction (observable through Simulator.Workers), never
 	// silently retained.
 	Workers int
-	// AutoWorkers calibrates the pool size per shape instead of taking
-	// Workers or GOMAXPROCS: the first construction of an
-	// (n, backend, precision, fusion) shape times one memory-bound pass
-	// over the cost diagonal per candidate size (1, 2, 4, …,
-	// GOMAXPROCS) and every simulator of that shape uses the winner for
-	// the process lifetime — the RouteAuto calibration pattern applied
-	// to pool sizing. Shapes below n = 16 always resolve to one worker
-	// (cache-resident states; no wall-clock dependence in tests).
-	// Incompatible with an explicit Workers > 0. The resolved size is
-	// observable through Simulator.Workers.
-	AutoWorkers bool
 	// InitialState overrides the default initial state (uniform
 	// superposition for MixerX, a Dicke state for the xy mixers). The
 	// vector is copied; it must have length 2^n.
@@ -147,35 +147,14 @@ type Options struct {
 	// of accumulating rounding error with depth (measured by
 	// `qaoabench precision`). Requires the SoA (or Auto) backend.
 	SinglePrecision bool
-	// FusedMixer applies the transverse-field mixer two qubits per
-	// pass (RX⊗RX blocks) instead of Algorithm 2's per-qubit sweeps —
-	// §VI's "gate fusion with F = 2" applied to the mixer, halving
-	// passes over the state. Combined with the SoA backend this is the
-	// fastest single-node engine and recovers the paper's ≈2×
-	// vendor-kernel gap. Ignored by the xy mixers and by the FWHT
-	// mixer route (which has no per-qubit sweeps to fuse).
-	FusedMixer bool
-	// MixerRoute selects the execution route for the transverse-field
-	// mixer: the per-qubit sweep, the cache-blocked Walsh–Hadamard
-	// route (forward FWHT · popcount diagonal · inverse FWHT), or — the
-	// zero value — automatic per-shape calibration (sweeps outright
-	// below the calibration threshold of n = 18). RouteFWHT is rejected
-	// at construction for the xy mixers, which have no FWHT form.
-	MixerRoute MixerRoute
-	// SeparatePhase forces the phase operator to run as its own full
-	// pass over the state instead of being folded into the first mixer
-	// sweep of each layer. The fused layer is the default because it is
-	// bit-identical and one traversal cheaper; this ablation isolates
-	// what the fusion buys, mirroring RecomputePhase's role for the
-	// diagonal precompute.
-	SeparatePhase bool
 	// RecomputePhase disables the paper's central optimization: the
 	// phase operator re-evaluates the cost polynomial term-by-term on
 	// every layer (O(|T|·2^n) per layer) instead of reading the cached
 	// diagonal. This is the ablation baseline standing in for
-	// OpenQAOA-style simulators in Fig. 2 and isolates exactly what
-	// precomputation buys. Only available when the simulator is built
-	// from terms (New), not from a raw diagonal.
+	// OpenQAOA-style simulators in Fig. 2; the phase runs as its own
+	// pass and the mixer is the one the default layer runs, so it
+	// isolates exactly what precomputation buys. Only available when
+	// the simulator is built from terms (New), not from a raw diagonal.
 	RecomputePhase bool
 }
 
@@ -204,11 +183,6 @@ type Simulator struct {
 
 	// mixerPairs is the ordered edge list swept by the xy mixers.
 	mixerPairs []graphs.Edge
-
-	// route is the resolved mixer route; routeDec carries the shared
-	// calibration state when route is RouteAuto (nil otherwise).
-	route    MixerRoute
-	routeDec *routeDecision
 
 	minCost      float64
 	groundStates []uint64
@@ -289,19 +263,11 @@ func newFromDiagonal(n int, diag []float64, prequant *costvec.Quantized, opts Op
 		backend = BackendSoA
 	}
 	workers := opts.Workers
-	if opts.AutoWorkers && workers > 0 {
-		return nil, fmt.Errorf("core: Options.AutoWorkers is incompatible with an explicit Options.Workers=%d — pick one sizing policy", workers)
-	}
 	if backend == BackendSerial {
 		// The serial backend never consults the pool; normalize the
 		// worker count to 1 so Options cannot silently claim parallelism
 		// the engine does not deliver.
 		workers = 1
-	} else if opts.AutoWorkers {
-		workers = autoWorkersFor(workersKey{
-			n: n, backend: backend,
-			single: opts.SinglePrecision, fused: opts.FusedMixer,
-		}, diag)
 	}
 	s := &Simulator{
 		n:         n,
@@ -351,9 +317,6 @@ func newFromDiagonal(n int, diag []float64, prequant *costvec.Quantized, opts Op
 		s.mixerPairs = completeSweep(n)
 	default:
 		return nil, fmt.Errorf("core: unknown mixer %v", opts.Mixer)
-	}
-	if err := s.resolveRoute(); err != nil {
-		return nil, err
 	}
 	if err := s.setupInitialState(); err != nil {
 		return nil, err
@@ -416,41 +379,6 @@ func (s *Simulator) computeGroundStates() {
 	}
 }
 
-// resolveRoute validates Options.MixerRoute against the mixer family
-// and fixes the route for this simulator's shape: xy mixers always
-// sweep, explicit routes pass through, and RouteAuto either collapses
-// to the sweep (small n) or binds the shared per-shape calibration.
-func (s *Simulator) resolveRoute() error {
-	switch s.opts.MixerRoute {
-	case RouteAuto, RouteSweep, RouteFWHT:
-	default:
-		return fmt.Errorf("core: unknown Options.MixerRoute %v", s.opts.MixerRoute)
-	}
-	if s.opts.Mixer != MixerX {
-		if s.opts.MixerRoute == RouteFWHT {
-			return fmt.Errorf("core: Options.MixerRoute fwht requires the x mixer, got %v", s.opts.Mixer)
-		}
-		s.route, s.routeDec = RouteSweep, nil
-		return nil
-	}
-	s.route = s.opts.MixerRoute
-	s.routeDec = nil
-	if s.route == RouteAuto {
-		if s.n < routeAutoMinQubits {
-			s.route = RouteSweep
-			return nil
-		}
-		s.routeDec = routeDecisionFor(routeKey{
-			n:       s.n,
-			workers: s.pool.Workers,
-			backend: s.backend,
-			single:  s.opts.SinglePrecision,
-			fused:   s.opts.FusedMixer,
-		})
-	}
-	return nil
-}
-
 // KernelPoolView returns a simulator sharing every precomputed
 // structure with s — diagonal, quantization, compiled terms, mixer
 // sweep, ground states, initial state, CVaR cache — but running its
@@ -466,13 +394,6 @@ func (s *Simulator) KernelPoolView(workers int) *Simulator {
 	// is shared, which is exactly the semantics a view wants.
 	v := *s
 	v.pool = statevec.NewPool(workers)
-	// The sweep-vs-FWHT crossover depends on the worker count, so a
-	// view re-resolves its route instead of inheriting the parent
-	// shape's calibration (resolveRoute cannot fail here: the options
-	// already validated at construction).
-	if err := v.resolveRoute(); err != nil {
-		panic(fmt.Sprintf("core: KernelPoolView route re-resolution failed on validated options: %v", err))
-	}
 	return &v
 }
 
@@ -486,17 +407,6 @@ func (s *Simulator) Backend() Backend { return s.backend }
 // (GOMAXPROCS when ≤ 0) for the pooled backends, always 1 for the
 // Serial backend.
 func (s *Simulator) Workers() int { return s.pool.Workers }
-
-// MixerRoute returns the route the transverse-field mixer currently
-// runs on: RouteSweep or RouteFWHT once fixed (explicitly, by the
-// small-n collapse, or by calibration), or RouteAuto while an
-// auto-routed shape has not yet measured both candidates.
-func (s *Simulator) MixerRoute() MixerRoute {
-	if s.route != RouteAuto {
-		return s.route
-	}
-	return s.routeDec.decided()
-}
 
 // CostDiagonal returns the precomputed cost vector (shared storage —
 // do not mutate). This is QOKit's get_cost_diagonal.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/cmplx"
@@ -127,7 +128,7 @@ func TestBackendsAgree(t *testing.T) {
 	}
 }
 
-func TestXMixerViaFWHTReference(t *testing.T) {
+func TestXMixerFWHTReference(t *testing.T) {
 	// Independent reference for the whole QAOA evolution: apply the
 	// phase from the diagonal, then the mixer as H^⊗n · diag(e^{−iβ(n−2|x|)}) · H^⊗n.
 	rng := rand.New(rand.NewSource(32))
@@ -410,46 +411,41 @@ func TestSinglePrecisionTracksDouble(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	n := 8
 	for _, mixer := range []Mixer{MixerX, MixerXYRing} {
-		for _, fused := range []bool{false, true} {
-			if fused && mixer != MixerX {
-				continue
-			}
-			ts := problems.LABSTerms(n)
-			double, err := New(n, ts, Options{Backend: BackendSoA, Mixer: mixer, FusedMixer: fused})
-			if err != nil {
-				t.Fatal(err)
-			}
-			single, err := New(n, ts, Options{Backend: BackendSoA, Mixer: mixer, FusedMixer: fused, SinglePrecision: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			gamma, beta := randomAngles(rng, 4)
-			r64, err := double.SimulateQAOA(gamma, beta)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r32, err := single.SimulateQAOA(gamma, beta)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := statevec.MaxAbsDiff(r64.StateVector(), r32.StateVector()); d > 1e-4 {
-				t.Errorf("mixer=%v fused=%v: float32 state deviates by %g", mixer, fused, d)
-			}
-			if math.Abs(r32.Norm()-1) > 1e-5 {
-				t.Errorf("mixer=%v: float32 norm drift %g", mixer, r32.Norm()-1)
-			}
-			if math.Abs(r64.Expectation()-r32.Expectation()) > 1e-3 {
-				t.Errorf("mixer=%v: expectation gap %g", mixer, r64.Expectation()-r32.Expectation())
-			}
-			if math.Abs(r64.Overlap()-r32.Overlap()) > 1e-4 {
-				t.Errorf("mixer=%v: overlap gap %g", mixer, r64.Overlap()-r32.Overlap())
-			}
-			p64 := r64.Probabilities(nil, true)
-			p32 := r32.Probabilities(nil, true)
-			for i := range p64 {
-				if math.Abs(p64[i]-p32[i]) > 1e-5 {
-					t.Fatalf("mixer=%v: probability %d gap %g", mixer, i, p64[i]-p32[i])
-				}
+		ts := problems.LABSTerms(n)
+		double, err := New(n, ts, Options{Backend: BackendSoA, Mixer: mixer})
+		if err != nil {
+			t.Fatal(err)
+		}
+		single, err := New(n, ts, Options{Backend: BackendSoA, Mixer: mixer, SinglePrecision: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gamma, beta := randomAngles(rng, 4)
+		r64, err := double.SimulateQAOA(gamma, beta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r32, err := single.SimulateQAOA(gamma, beta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := statevec.MaxAbsDiff(r64.StateVector(), r32.StateVector()); d > 1e-4 {
+			t.Errorf("mixer=%v: float32 state deviates by %g", mixer, d)
+		}
+		if math.Abs(r32.Norm()-1) > 1e-5 {
+			t.Errorf("mixer=%v: float32 norm drift %g", mixer, r32.Norm()-1)
+		}
+		if math.Abs(r64.Expectation()-r32.Expectation()) > 1e-3 {
+			t.Errorf("mixer=%v: expectation gap %g", mixer, r64.Expectation()-r32.Expectation())
+		}
+		if math.Abs(r64.Overlap()-r32.Overlap()) > 1e-4 {
+			t.Errorf("mixer=%v: overlap gap %g", mixer, r64.Overlap()-r32.Overlap())
+		}
+		p64 := r64.Probabilities(nil, true)
+		p32 := r32.Probabilities(nil, true)
+		for i := range p64 {
+			if math.Abs(p64[i]-p32[i]) > 1e-5 {
+				t.Fatalf("mixer=%v: probability %d gap %g", mixer, i, p64[i]-p32[i])
 			}
 		}
 	}
@@ -472,30 +468,144 @@ func TestSinglePrecisionValidation(t *testing.T) {
 	}
 }
 
-func TestFusedMixerMatchesDefault(t *testing.T) {
+// layerTerms is a random n-qubit instance with linear and pair terms
+// of integer weight, so its diagonal can lie on a phase-table grid.
+func layerTerms(n int, seed int64) poly.Terms {
+	rng := rand.New(rand.NewSource(seed))
+	w := func() float64 { return float64(1+rng.Intn(2)) * float64(1-2*rng.Intn(2)) }
+	var ts poly.Terms
+	for i := 0; i < n; i++ {
+		ts = append(ts, poly.NewTerm(w(), i))
+		for j := i + 1; j < n; j++ {
+			ts = append(ts, poly.NewTerm(w(), i, j))
+		}
+	}
+	return ts
+}
+
+// pairFusedByHand evolves |+⟩^n through the statevec F = 2 fused-layer
+// kernels on the representation opts selects: ApplyPhaseRXFused per
+// layer, or for RecomputePhase a phase pass over the term-evaluated
+// costs followed by ApplyUniformRXFused. The phase factors come from
+// sincos, which every phase table reproduces bit for bit.
+func pairFusedByHand(n int, terms poly.Terms, diag []float64, opts Options, gamma, beta []float64) statevec.Vec {
+	pool := statevec.NewPool(opts.Workers)
+	phaseDiag := diag
+	if opts.RecomputePhase {
+		c := poly.Compile(terms)
+		phaseDiag = make([]float64, len(diag))
+		for x := range phaseDiag {
+			phaseDiag[x] = c.Eval(uint64(x))
+		}
+	}
+	v := statevec.NewUniform(n)
+	soa, soa32 := statevec.SoAFromVec(v), statevec.SoA32FromVec(v)
+	for l := range gamma {
+		ph := statevec.Phase{Gamma: gamma[l], Diag: phaseDiag}
+		switch {
+		case opts.SinglePrecision:
+			soa32.ApplyPhaseRXFused(pool, ph, beta[l])
+		case opts.Backend == BackendSoA && opts.RecomputePhase:
+			soa.ApplyPhase(pool, ph)
+			soa.ApplyUniformRXFused(pool, beta[l])
+		case opts.Backend == BackendSoA:
+			soa.ApplyPhaseRXFused(pool, ph, beta[l])
+		case opts.RecomputePhase:
+			pool.ApplyPhase(v, ph)
+			pool.ApplyUniformRXFused(v, beta[l])
+		default:
+			pool.ApplyPhaseRXFused(v, ph, beta[l])
+		}
+	}
+	switch {
+	case opts.SinglePrecision:
+		return soa32.ToVec()
+	case opts.Backend == BackendSoA:
+		return soa.ToVec()
+	}
+	return v
+}
+
+// TestDefaultLayerIsPairFused pins the transverse-field layer of the
+// pooled backends: with no option beyond the backend, SoA, SoA32 and
+// Parallel evolve bit-identically to the statevec F = 2 fused-layer
+// kernels applied by hand, through the phase table and through sincos,
+// quantized and with RecomputePhase, for n ∈ {1, 2, 5, 8} (odd n runs
+// the single-qubit tail, n = 1 the n < 2 fallback). The float64 cases
+// also stay within rtol 1e-10 of the Serial reference's per-qubit
+// Algorithm 2, and SoA32 within single-precision rounding of it.
+func TestDefaultLayerIsPairFused(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
-	n := 7
-	ts := problems.LABSTerms(n)
 	gamma, beta := randomAngles(rng, 3)
-	for _, backend := range allBackends() {
-		plain, err := New(n, ts, Options{Backend: backend})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fused, err := New(n, ts, Options{Backend: backend, FusedMixer: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r1, err := plain.SimulateQAOA(gamma, beta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2, err := fused.SimulateQAOA(gamma, beta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := statevec.MaxAbsDiff(r1.StateVector(), r2.StateVector()); d > 1e-11 {
-			t.Errorf("%v: fused mixer differs: %g", backend, d)
+	for _, n := range []int{1, 2, 5, 8} {
+		terms := layerTerms(n, int64(n))
+		for _, b := range []struct {
+			name string
+			opts Options
+		}{
+			{"soa", Options{Backend: BackendSoA, Workers: 3}},
+			{"soa32", Options{Backend: BackendSoA, Workers: 3, SinglePrecision: true}},
+			{"parallel", Options{Backend: BackendParallel, Workers: 3}},
+		} {
+			for _, variant := range []struct {
+				name string
+				set  func(*Options)
+			}{
+				{"default", func(*Options) {}},
+				{"quantize", func(o *Options) { o.Quantize = true }},
+				{"recompute", func(o *Options) { o.RecomputePhase = true }},
+			} {
+				opts := b.opts
+				variant.set(&opts)
+				if opts.SinglePrecision && (opts.Quantize || opts.RecomputePhase) {
+					continue // rejected at construction
+				}
+				s, err := New(n, terms, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n >= 5 && s.grid.Levels == 0 {
+					t.Fatalf("n=%d %s/%s: integer diagonal took no phase table", n, b.name, variant.name)
+				}
+				serialOpts := opts
+				serialOpts.Backend, serialOpts.SinglePrecision = BackendSerial, false
+				ref, err := New(n, terms, serialOpts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rRef, err := ref.SimulateQAOA(gamma, beta)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := pairFusedByHand(n, terms, s.CostDiagonal(), opts, gamma, beta)
+				sims := map[string]*Simulator{"table": s}
+				if s.grid.Levels > 0 && !opts.Quantize {
+					sims["sincos"] = sincosTwin(s)
+				}
+				for phase, sim := range sims {
+					label := fmt.Sprintf("n=%d %s/%s/%s", n, b.name, variant.name, phase)
+					r, err := sim.SimulateQAOA(gamma, beta)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := r.StateVector()
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%s: amplitude %d = %v, F = 2 kernels by hand give %v", label, i, got[i], want[i])
+						}
+					}
+					tol := 1e-10
+					if opts.SinglePrecision {
+						tol = 1e-5
+					}
+					if d := statevec.MaxAbsDiff(got, rRef.StateVector()); d > tol {
+						t.Errorf("%s: state deviates from the serial reference by %g", label, d)
+					}
+					if e, e0 := r.Expectation(), rRef.Expectation(); math.Abs(e-e0) > 10*tol*math.Max(1, math.Abs(e0)) {
+						t.Errorf("%s: energy %v, serial reference %v", label, e, e0)
+					}
+				}
+			}
 		}
 	}
 }

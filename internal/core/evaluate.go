@@ -26,7 +26,7 @@ func (s *Simulator) Energy(ctx context.Context, x []float64) (float64, error) {
 		return 0, err
 	}
 	r := s.NewResult()
-	if err := s.SimulateQAOAIntoCtx(ctx, r, gamma, beta); err != nil {
+	if err := s.SimulateQAOAInto(r, gamma, beta); err != nil {
 		return 0, err
 	}
 	return r.Expectation(), nil
@@ -47,7 +47,7 @@ func (s *Simulator) EnergyGrad(ctx context.Context, x, grad []float64) (float64,
 	}
 	p := len(gamma)
 	w := s.NewGradBuffers()
-	return s.SimulateQAOAGradIntoCtx(ctx, w, gamma, beta, grad[:p], grad[p:])
+	return s.SimulateQAOAGradInto(w, gamma, beta, grad[:p], grad[p:])
 }
 
 // Caps reports the simulator's evaluation metadata: gradient-capable,

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"qokit/internal/statevec"
@@ -31,7 +30,11 @@ import (
 // so the reverse pass computes it in flight: per layer, one paired
 // mixer sweep (statevec PairUniformRX) and one paired phase pass
 // (PairPhase) walk ψ and λ together, and no separate reduction pass
-// remains. A full gradient costs about three forward simulations.
+// remains. A full gradient costs about three forward simulations. The
+// paired mixer sweep is per-qubit on every backend, so on the pooled
+// backends it undoes the forward F = 2 sweep to rounding rather than
+// bit for bit; the gradients agree with the Serial reference to rtol
+// 1e-10.
 
 // GradBuffers is the reusable workspace of one adjoint gradient
 // evaluation: the pair of state buffers (ket ψ, cost-weighted bra λ)
@@ -82,20 +85,10 @@ func (s *Simulator) SimulateQAOAGrad(gamma, beta []float64) (energy float64, gra
 // Distinct GradBuffers may be evolved concurrently against one shared
 // Simulator, exactly like Results in SimulateQAOAInto.
 func (s *Simulator) SimulateQAOAGradInto(w *GradBuffers, gamma, beta, gradGamma, gradBeta []float64) (float64, error) {
-	return s.SimulateQAOAGradIntoCtx(nil, w, gamma, beta, gradGamma, gradBeta)
+	return s.gradInto(w, gamma, beta, nil, gradGamma, gradBeta)
 }
 
-// SimulateQAOAGradIntoCtx is SimulateQAOAGradInto under a request
-// context: the forward pass reaches the RouteAuto calibration path, and
-// ctx lets a cancelled request fail fast there instead of burning a
-// timed mixer application. The reverse pass always runs the paired
-// sweep kernels and never calibrates. A nil ctx behaves like
-// SimulateQAOAGradInto.
-func (s *Simulator) SimulateQAOAGradIntoCtx(ctx context.Context, w *GradBuffers, gamma, beta, gradGamma, gradBeta []float64) (float64, error) {
-	return s.gradInto(ctx, w, gamma, beta, nil, gradGamma, gradBeta)
-}
-
-// SimulateQAOAGradObsIntoCtx differentiates the expectation of a
+// SimulateQAOAGradObsInto differentiates the expectation of a
 // caller-supplied diagonal observable instead of the evolution cost:
 // it returns ⟨obs⟩ after evolving under THIS simulator's cost diagonal
 // together with ∂⟨obs⟩/∂γ_ℓ and ∂⟨obs⟩/∂β_ℓ. The reverse pass is the
@@ -105,17 +98,17 @@ func (s *Simulator) SimulateQAOAGradIntoCtx(ctx context.Context, w *GradBuffers,
 // multiply. The light-cone backend uses this with obs = Z_uZ_v on a
 // cone's root edge while evolving under the cone's full MaxCut cost.
 // obs must have length 2^n; storage contracts match
-// SimulateQAOAGradIntoCtx.
-func (s *Simulator) SimulateQAOAGradObsIntoCtx(ctx context.Context, w *GradBuffers, gamma, beta, obs, gradGamma, gradBeta []float64) (float64, error) {
+// SimulateQAOAGradInto.
+func (s *Simulator) SimulateQAOAGradObsInto(w *GradBuffers, gamma, beta, obs, gradGamma, gradBeta []float64) (float64, error) {
 	if len(obs) != 1<<uint(s.n) {
 		return 0, fmt.Errorf("core: observable diagonal length %d, want 2^%d = %d", len(obs), s.n, 1<<uint(s.n))
 	}
-	return s.gradInto(ctx, w, gamma, beta, obs, gradGamma, gradBeta)
+	return s.gradInto(w, gamma, beta, obs, gradGamma, gradBeta)
 }
 
 // gradInto is the adjoint gradient shared by the cost (obs == nil) and
 // observable entry points: forward pass, λ seed, reverse pass.
-func (s *Simulator) gradInto(ctx context.Context, w *GradBuffers, gamma, beta, obs, gradGamma, gradBeta []float64) (float64, error) {
+func (s *Simulator) gradInto(w *GradBuffers, gamma, beta, obs, gradGamma, gradBeta []float64) (float64, error) {
 	if len(gamma) != len(beta) {
 		return 0, fmt.Errorf("core: len(gamma)=%d != len(beta)=%d", len(gamma), len(beta))
 	}
@@ -126,7 +119,7 @@ func (s *Simulator) gradInto(ctx context.Context, w *GradBuffers, gamma, beta, o
 	if w == nil || w.psi == nil || w.lam == nil {
 		return 0, fmt.Errorf("core: nil GradBuffers; use NewGradBuffers")
 	}
-	if err := s.SimulateQAOAIntoCtx(ctx, w.psi, gamma, beta); err != nil {
+	if err := s.SimulateQAOAInto(w.psi, gamma, beta); err != nil {
 		return 0, err
 	}
 	if err := s.bindResult(w.lam); err != nil {

@@ -243,34 +243,6 @@ func TestAdjointGradientQuantized(t *testing.T) {
 	}
 }
 
-// TestAdjointGradientFusedMixer checks the F = 2 fused mixer path
-// differentiates identically to the per-qubit sweep.
-func TestAdjointGradientFusedMixer(t *testing.T) {
-	const n, p = 8, 6
-	rng := rand.New(rand.NewSource(29))
-	for _, backend := range []Backend{BackendSerial, BackendParallel, BackendSoA} {
-		terms := problems.LABSTerms(n)
-		fused, err := New(n, terms, Options{Backend: backend, FusedMixer: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		plain, err := New(n, terms, Options{Backend: backend})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gamma, beta := randomAngles(rng, p)
-		_, fG, fB, err := fused.SimulateQAOAGrad(gamma, beta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, pG, pB, err := plain.SimulateQAOAGrad(gamma, beta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertGradClose(t, "fused/"+backend.String(), fG, fB, pG, pB, 1e-10)
-	}
-}
-
 // TestGradBuffersReuse pins the buffer-reuse contract: repeated
 // SimulateQAOAGradInto calls through one GradBuffers reproduce the
 // fresh-buffer results bit-for-bit.
@@ -407,7 +379,7 @@ func TestAdjointGradObsMatchesFiniteDifference(t *testing.T) {
 				w := s.NewGradBuffers()
 				gG := make([]float64, p)
 				gB := make([]float64, p)
-				e, err := s.SimulateQAOAGradObsIntoCtx(nil, w, gamma, beta, obs, gG, gB)
+				e, err := s.SimulateQAOAGradObsInto(w, gamma, beta, obs, gG, gB)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -462,7 +434,7 @@ func TestAdjointGradObsEqualsStandardOnCost(t *testing.T) {
 	w := s.NewGradBuffers()
 	gG := make([]float64, 4)
 	gB := make([]float64, 4)
-	e, err := s.SimulateQAOAGradObsIntoCtx(nil, w, gamma, beta, diag, gG, gB)
+	e, err := s.SimulateQAOAGradObsInto(w, gamma, beta, diag, gG, gB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +457,7 @@ func TestAdjointGradObsValidation(t *testing.T) {
 	}
 	w := s.NewGradBuffers()
 	g1 := []float64{0.3}
-	if _, err := s.SimulateQAOAGradObsIntoCtx(nil, w, g1, g1, make([]float64, 16), []float64{0}, []float64{0}); err == nil {
+	if _, err := s.SimulateQAOAGradObsInto(w, g1, g1, make([]float64, 16), []float64{0}, []float64{0}); err == nil {
 		t.Error("short observable accepted")
 	}
 }

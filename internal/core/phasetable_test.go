@@ -85,8 +85,7 @@ func assertSameBits(t *testing.T, label string, got, want *Result) {
 // TestPhaseTableBitIdenticalToSincos checks that the table-driven phase
 // reproduces per-amplitude sincos bit for bit on all four
 // representations, for LABS, MaxCut and ½-step weighted MaxCut, through
-// the fused layer (plain and F = 2), the separate phase pass, and the
-// adjoint gradient.
+// the fused layer and the adjoint gradient.
 func TestPhaseTableBitIdenticalToSincos(t *testing.T) {
 	const n, p = 10, 3
 	rng := rand.New(rand.NewSource(12))
@@ -96,57 +95,47 @@ func TestPhaseTableBitIdenticalToSincos(t *testing.T) {
 	}
 	for name, terms := range gridInstances(t, n) {
 		for _, b := range phaseTableBackends {
-			for _, variant := range []struct {
-				name string
-				set  func(*Options)
-			}{
-				{"fused", func(*Options) {}},
-				{"pairFused", func(o *Options) { o.FusedMixer = true }},
-				{"separate", func(o *Options) { o.SeparatePhase = true }},
-			} {
-				opts := b.opts
-				variant.set(&opts)
-				label := name + "/" + b.name + "/" + variant.name
-				s, err := New(n, terms, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if s.grid.Levels == 0 {
-					t.Fatalf("%s: diagonal not recognized as a grid", label)
-				}
-				ref := sincosTwin(s)
-				got, err := s.SimulateQAOA(gamma, beta)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := ref.SimulateQAOA(gamma, beta)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameBits(t, label, got, want)
-
-				gG, gB := make([]float64, p), make([]float64, p)
-				wG, wB := make([]float64, p), make([]float64, p)
-				wg, wr := s.NewGradBuffers(), ref.NewGradBuffers()
-				e1, err := s.SimulateQAOAGradInto(wg, gamma, beta, gG, gB)
-				if err != nil {
-					t.Fatal(err)
-				}
-				e2, err := ref.SimulateQAOAGradInto(wr, gamma, beta, wG, wB)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if e1 != e2 {
-					t.Errorf("%s: energy %v vs %v", label, e1, e2)
-				}
-				for l := range gG {
-					if gG[l] != wG[l] || gB[l] != wB[l] {
-						t.Errorf("%s: layer %d gradient (%v, %v) vs sincos (%v, %v)", label, l, gG[l], gB[l], wG[l], wB[l])
-					}
-				}
-				assertSameBits(t, label+"/reverse ψ", wg.psi, wr.psi)
-				assertSameBits(t, label+"/reverse λ", wg.lam, wr.lam)
+			opts := b.opts
+			label := name + "/" + b.name
+			s, err := New(n, terms, opts)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if s.grid.Levels == 0 {
+				t.Fatalf("%s: diagonal not recognized as a grid", label)
+			}
+			ref := sincosTwin(s)
+			got, err := s.SimulateQAOA(gamma, beta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.SimulateQAOA(gamma, beta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameBits(t, label, got, want)
+
+			gG, gB := make([]float64, p), make([]float64, p)
+			wG, wB := make([]float64, p), make([]float64, p)
+			wg, wr := s.NewGradBuffers(), ref.NewGradBuffers()
+			e1, err := s.SimulateQAOAGradInto(wg, gamma, beta, gG, gB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e2, err := ref.SimulateQAOAGradInto(wr, gamma, beta, wG, wB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e1 != e2 {
+				t.Errorf("%s: energy %v vs %v", label, e1, e2)
+			}
+			for l := range gG {
+				if gG[l] != wG[l] || gB[l] != wB[l] {
+					t.Errorf("%s: layer %d gradient (%v, %v) vs sincos (%v, %v)", label, l, gG[l], gB[l], wG[l], wB[l])
+				}
+			}
+			assertSameBits(t, label+"/reverse ψ", wg.psi, wr.psi)
+			assertSameBits(t, label+"/reverse λ", wg.lam, wr.lam)
 		}
 	}
 }
@@ -222,44 +211,34 @@ func TestPhaseTablePoisonedDiagonalGivesNaN(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, b := range phaseTableBackends {
-			for _, variant := range []struct {
-				name string
-				set  func(*Options)
-			}{
-				{"fused", func(*Options) {}},
-				{"pairFused", func(o *Options) { o.FusedMixer = true }},
-				{"separate", func(o *Options) { o.SeparatePhase = true }},
-			} {
-				opts := b.opts
-				variant.set(&opts)
-				label := name + "/" + b.name + "/" + variant.name
-				poisoned := append([]float64(nil), diag.CostDiagonal()...)
-				s, err := NewFromDiagonal(n, poisoned, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if s.grid.Levels == 0 {
-					t.Fatalf("%s: diagonal not recognized as a grid", label)
-				}
-				for i := range poisoned {
-					poisoned[i] = math.NaN()
-				}
-				e, err := s.Energy(context.Background(), x)
-				if err != nil {
-					t.Fatal(err)
-				}
-				grad := make([]float64, 2*p)
-				eg, err := s.EnergyGrad(context.Background(), x, grad)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !math.IsNaN(e) || !math.IsNaN(eg) {
-					t.Errorf("%s: energies %v, %v over a NaN diagonal, want NaN", label, e, eg)
-				}
-				for l, g := range grad {
-					if !math.IsNaN(g) {
-						t.Errorf("%s: gradient[%d] = %v over a NaN diagonal, want NaN", label, l, g)
-					}
+			opts := b.opts
+			label := name + "/" + b.name
+			poisoned := append([]float64(nil), diag.CostDiagonal()...)
+			s, err := NewFromDiagonal(n, poisoned, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.grid.Levels == 0 {
+				t.Fatalf("%s: diagonal not recognized as a grid", label)
+			}
+			for i := range poisoned {
+				poisoned[i] = math.NaN()
+			}
+			e, err := s.Energy(context.Background(), x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			grad := make([]float64, 2*p)
+			eg, err := s.EnergyGrad(context.Background(), x, grad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !math.IsNaN(e) || !math.IsNaN(eg) {
+				t.Errorf("%s: energies %v, %v over a NaN diagonal, want NaN", label, e, eg)
+			}
+			for l, g := range grad {
+				if !math.IsNaN(g) {
+					t.Errorf("%s: gradient[%d] = %v over a NaN diagonal, want NaN", label, l, g)
 				}
 			}
 		}
@@ -305,8 +284,10 @@ func TestAdjointPairedReverseBitIdentical(t *testing.T) {
 				switch {
 				case psi.soa32 != nil:
 					lam.soa32.ImDotXAll(pool, psi.soa32)
-					psi.soa32.ApplyUniformRX(pool, -beta[l])
-					lam.soa32.ApplyUniformRX(pool, -beta[l])
+					for q := 0; q < n; q++ {
+						psi.soa32.ApplyRX(pool, q, -beta[l])
+						lam.soa32.ApplyRX(pool, q, -beta[l])
+					}
 				case psi.soa != nil:
 					lam.soa.ImDotXAll(pool, psi.soa)
 					psi.soa.ApplyUniformRX(pool, -beta[l])
@@ -365,7 +346,6 @@ func TestAdjointGradMatchesSerialBackend(t *testing.T) {
 				for _, opts := range []Options{
 					{Backend: BackendParallel, Workers: 3},
 					{Backend: BackendSoA, Workers: 3},
-					{Backend: BackendSoA, Workers: 2, FusedMixer: true},
 					{Backend: BackendSoA, Workers: 2, Quantize: true},
 				} {
 					s, err := New(n, terms, opts)

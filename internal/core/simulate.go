@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -65,14 +64,6 @@ func (s *Simulator) NewResult() *Result {
 // Simulator — the simulator is read-only during evolution — which is
 // what the internal/sweep batch engine does.
 func (s *Simulator) SimulateQAOAInto(r *Result, gamma, beta []float64) error {
-	return s.SimulateQAOAIntoCtx(nil, r, gamma, beta)
-}
-
-// SimulateQAOAIntoCtx is SimulateQAOAInto under a request context: the
-// RouteAuto calibration path consults ctx and fails fast instead of
-// timing a live mixer application for a request nobody is waiting on.
-// A nil ctx behaves like SimulateQAOAInto.
-func (s *Simulator) SimulateQAOAIntoCtx(ctx context.Context, r *Result, gamma, beta []float64) error {
 	if len(gamma) != len(beta) {
 		return fmt.Errorf("core: len(gamma)=%d != len(beta)=%d", len(gamma), len(beta))
 	}
@@ -80,9 +71,7 @@ func (s *Simulator) SimulateQAOAIntoCtx(ctx context.Context, r *Result, gamma, b
 		return err
 	}
 	for l := range gamma {
-		if err := s.applyLayerCtx(ctx, r, gamma[l], beta[l]); err != nil {
-			return err
-		}
+		s.applyLayer(r, gamma[l], beta[l])
 	}
 	return nil
 }
@@ -164,32 +153,29 @@ func (s *Simulator) ApplyLayer(r *Result, gamma, beta float64) {
 	s.applyLayer(r, gamma, beta)
 }
 
-// applyLayer is applyLayerCtx without a request context (nil ctx never
-// fails, so the error is statically nil).
+// applyLayer applies e^{−iβM}·e^{−iγĈ}. A transverse-field layer is
+// one fused sweep: the phase folds into the first pass of the F = 2
+// pair-fused mixer on the pooled backends, and into the qubit-0 pass of
+// Algorithm 2 on the Serial reference, bit-identical to the separate
+// passes either way. The xy mixers and the RecomputePhase ablation run
+// the phase as its own pass.
 func (s *Simulator) applyLayer(r *Result, gamma, beta float64) {
-	s.applyLayerCtx(nil, r, gamma, beta)
-}
-
-// applyLayerCtx applies e^{−iβM}·e^{−iγĈ}. On the default x-mixer
-// sweep path the phase folds into the first mixer pass (bit-identical
-// to the separate passes, one traversal cheaper); every other
-// configuration — xy mixers, the FWHT route, recomputed phases, the
-// SeparatePhase ablation, and auto shapes still calibrating — runs the
-// two operators separately. ctx gates only the calibration path (see
-// routeDecision.apply); it may be nil.
-func (s *Simulator) applyLayerCtx(ctx context.Context, r *Result, gamma, beta float64) error {
-	if s.opts.Mixer == MixerX && !s.opts.SeparatePhase && !s.opts.RecomputePhase {
-		route := s.route
-		if route == RouteAuto {
-			route = s.routeDec.decided()
-		}
-		if route == RouteSweep {
-			s.applyFusedLayer(r, gamma, beta)
-			return nil
-		}
+	if s.opts.Mixer != MixerX || s.opts.RecomputePhase {
+		s.applyPhase(r, gamma)
+		s.applyMixer(r, beta)
+		return
 	}
-	s.applyPhase(r, gamma)
-	return s.applyMixerCtx(ctx, r, beta)
+	ph := s.phase(r, gamma)
+	switch {
+	case r.soa32 != nil:
+		r.soa32.ApplyPhaseRXFused(s.pool, ph, beta)
+	case r.soa != nil:
+		r.soa.ApplyPhaseRXFused(s.pool, ph, beta)
+	case s.backend == BackendSerial:
+		statevec.ApplyPhaseRX(r.vec, ph, beta)
+	default:
+		s.pool.ApplyPhaseRXFused(r.vec, ph, beta)
+	}
 }
 
 // phase returns the phase operator e^{−iγĈ} for an evolution of r:
@@ -197,30 +183,6 @@ func (s *Simulator) applyLayerCtx(ctx context.Context, r *Result, gamma, beta fl
 // grid, sincos otherwise (bit-identical either way).
 func (s *Simulator) phase(r *Result, gamma float64) statevec.Phase {
 	return statevec.NewPhase(s.diag, gamma, &s.grid, &r.tab)
-}
-
-// applyFusedLayer dispatches the fused phase+mixer sweep kernels.
-func (s *Simulator) applyFusedLayer(r *Result, gamma, beta float64) {
-	ph := s.phase(r, gamma)
-	fused := s.opts.FusedMixer
-	switch {
-	case r.soa32 != nil && fused:
-		r.soa32.ApplyPhaseRXFused(s.pool, ph, beta)
-	case r.soa32 != nil:
-		r.soa32.ApplyPhaseRX(s.pool, ph, beta)
-	case r.soa != nil && fused:
-		r.soa.ApplyPhaseRXFused(s.pool, ph, beta)
-	case r.soa != nil:
-		r.soa.ApplyPhaseRX(s.pool, ph, beta)
-	case s.backend == BackendSerial && fused:
-		statevec.ApplyPhaseRXFused(r.vec, ph, beta)
-	case s.backend == BackendSerial:
-		statevec.ApplyPhaseRX(r.vec, ph, beta)
-	case fused:
-		s.pool.ApplyPhaseRXFused(r.vec, ph, beta)
-	default:
-		s.pool.ApplyPhaseRX(r.vec, ph, beta)
-	}
 }
 
 func (s *Simulator) applyPhase(r *Result, gamma float64) {
@@ -277,75 +239,25 @@ func (s *Simulator) applyPhaseRecompute(r *Result, gamma float64) {
 	s.pool.Run(len(r.vec), apply)
 }
 
-func (s *Simulator) applyMixerCtx(ctx context.Context, r *Result, beta float64) error {
-	switch s.opts.Mixer {
-	case MixerX:
-		switch s.route {
-		case RouteSweep:
-			s.applyMixerSweep(r, beta)
-		case RouteFWHT:
-			s.applyMixerFWHT(r, beta)
-		default: // RouteAuto: calibrate on live applications
-			return s.routeDec.apply(ctx, func(rt MixerRoute) {
-				if rt == RouteFWHT {
-					s.applyMixerFWHT(r, beta)
-				} else {
-					s.applyMixerSweep(r, beta)
-				}
-			})
+// applyMixer runs the mixer as its own pass: the xy mixers' per-edge
+// sweep, or for MixerX (reached only by the RecomputePhase ablation)
+// the same sweep the fused layer runs, without the folded phase.
+func (s *Simulator) applyMixer(r *Result, beta float64) {
+	if s.opts.Mixer == MixerX {
+		switch {
+		case r.soa32 != nil:
+			r.soa32.ApplyUniformRXFused(s.pool, beta)
+		case r.soa != nil:
+			r.soa.ApplyUniformRXFused(s.pool, beta)
+		case s.backend == BackendSerial:
+			statevec.ApplyUniformRX(r.vec, beta)
+		default:
+			s.pool.ApplyUniformRXFused(r.vec, beta)
 		}
-	default: // xy mixers share the per-edge sweep
-		for _, e := range s.mixerPairs {
-			switch {
-			case r.soa32 != nil:
-				r.soa32.ApplyXY(s.pool, e.U, e.V, beta)
-			case r.soa != nil:
-				r.soa.ApplyXY(s.pool, e.U, e.V, beta)
-			case s.backend == BackendSerial:
-				statevec.ApplyXY(r.vec, e.U, e.V, beta)
-			default:
-				s.pool.ApplyXY(r.vec, e.U, e.V, beta)
-			}
-		}
+		return
 	}
-	return nil
-}
-
-// applyMixerSweep runs the transverse-field mixer as per-qubit (or
-// F = 2 pair-fused) sweeps — Algorithm 2.
-func (s *Simulator) applyMixerSweep(r *Result, beta float64) {
-	switch {
-	case r.soa32 != nil && s.opts.FusedMixer:
-		r.soa32.ApplyUniformRXFused(s.pool, beta)
-	case r.soa32 != nil:
-		r.soa32.ApplyUniformRX(s.pool, beta)
-	case r.soa != nil && s.opts.FusedMixer:
-		r.soa.ApplyUniformRXFused(s.pool, beta)
-	case r.soa != nil:
-		r.soa.ApplyUniformRX(s.pool, beta)
-	case s.backend == BackendSerial && s.opts.FusedMixer:
-		statevec.ApplyUniformRXFused(r.vec, beta)
-	case s.backend == BackendSerial:
-		statevec.ApplyUniformRX(r.vec, beta)
-	case s.opts.FusedMixer:
-		s.pool.ApplyUniformRXFused(r.vec, beta)
-	default:
-		s.pool.ApplyUniformRX(r.vec, beta)
-	}
-}
-
-// applyMixerFWHT runs the transverse-field mixer through the
-// cache-blocked Walsh–Hadamard route.
-func (s *Simulator) applyMixerFWHT(r *Result, beta float64) {
-	switch {
-	case r.soa32 != nil:
-		r.soa32.ApplyUniformRXViaFWHT(s.pool, beta)
-	case r.soa != nil:
-		r.soa.ApplyUniformRXViaFWHT(s.pool, beta)
-	case s.backend == BackendSerial:
-		statevec.ApplyUniformRXViaFWHT(r.vec, beta)
-	default:
-		s.pool.ApplyUniformRXViaFWHT(r.vec, beta)
+	for _, e := range s.mixerPairs {
+		s.applyXYPair(r, e.U, e.V, beta)
 	}
 }
 

@@ -356,7 +356,7 @@ func (e *Engine) coneLoop(ctx context.Context, ws *workspace, gamma, beta []floa
 				ws.grads[c.n] = w
 			}
 			blk := cb.gflat[i*2*p : (i+1)*2*p]
-			val, err := c.sim.SimulateQAOAGradObsIntoCtx(ctx, w, gamma, beta, c.obs, blk[:p], blk[p:])
+			val, err := c.sim.SimulateQAOAGradObsInto(w, gamma, beta, c.obs, blk[:p], blk[p:])
 			if err != nil {
 				return err
 			}
@@ -367,7 +367,7 @@ func (e *Engine) coneLoop(ctx context.Context, ws *workspace, gamma, beta []floa
 				r = c.sim.NewResult()
 				ws.res[c.n] = r
 			}
-			if err := c.sim.SimulateQAOAIntoCtx(ctx, r, gamma, beta); err != nil {
+			if err := c.sim.SimulateQAOAInto(r, gamma, beta); err != nil {
 				return err
 			}
 			cb.vals[i] = r.ExpectationOf(c.obs)

@@ -30,9 +30,12 @@ import (
 // pool with floor 1, a ceiling of the factories' combined preferred
 // capacity, no memory budget, and a 100 ms idle decay.
 type ElasticOptions struct {
-	// MinWorkers is the pool floor (≤ 0 means 1): that many workers
-	// start immediately and never decay, so the degenerate
-	// MinWorkers == MaxWorkers configuration is a fixed pool.
+	// MinWorkers is the pool floor, capped by what MemoryBudget admits
+	// (≤ 0 means 1): that many workers start immediately and never
+	// decay, so the degenerate MinWorkers == MaxWorkers configuration
+	// is a fixed pool. A floor worker that finds no spare capacity and
+	// whose build the budget refuses exits, so LiveWorkers can sit
+	// below MinWorkers for as long as the budget is full.
 	MinWorkers int
 	// MaxWorkers caps growth (≤ 0 means the sum of the factories'
 	// per-build MaxConcurrent, with GOMAXPROCS standing in for

@@ -161,6 +161,41 @@ func TestElasticMemoryBudget(t *testing.T) {
 	}
 }
 
+// TestElasticFloorCappedByBudget pins the floor's definition: with a
+// budget that admits one single-worker build, three of four floor
+// workers are refused and exit, so LiveWorkers settles at 1, below
+// MinWorkers, and the one surviving worker still drains a queued batch.
+func TestElasticFloorCappedByBudget(t *testing.T) {
+	const points = 12
+	f := &fakeFactory{n: 4, perBuild: 1, stateBytes: 100}
+	svc, err := NewElastic([]evaluator.Factory{f}, ElasticOptions{
+		MinWorkers: 4, MaxWorkers: 8, MemoryBudget: 150,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	waitUntil(t, "refused floor workers to exit", func() bool { return svc.LiveWorkers() == 1 })
+
+	xs := make([][]float64, points)
+	for i := range xs {
+		xs[i] = flat(float64(i), 0)
+	}
+	got, err := svc.EnergyBatch(context.Background(), xs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range got {
+		if e != -float64(i) {
+			t.Fatalf("batch point %d = %v, want %v", i, e, -float64(i))
+		}
+	}
+	waitUntil(t, "growth attempts refused by the budget to exit", func() bool { return svc.LiveWorkers() == 1 })
+	if built, _ := f.counts(); built != 1 {
+		t.Errorf("budget for one build produced %d builds", built)
+	}
+}
+
 // TestElasticFixedParity: the elastic pool returns bit-identical
 // energies and gradients to a fixed pool over the same engine
 // construction — scheduling must not perturb numerics.

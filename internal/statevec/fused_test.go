@@ -7,7 +7,7 @@ import (
 	"testing/quick"
 )
 
-func TestFusedMixerMatchesAlgorithm2(t *testing.T) {
+func TestPairFusedSweepMatchesAlgorithm2(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8} {
 		for _, beta := range []float64{0, 0.31, -1.2, math.Pi / 2} {

@@ -7,9 +7,13 @@ import "math"
 // transverse-field mixer sweep; run separately those cost two full
 // memory traversals where the first mixer pass could have absorbed the
 // phase for free. Each kernel here folds e^{−iγ·c_x} into the first
-// pass over the state (the qubit-0 butterfly of the per-qubit sweep, or
-// the first RX⊗RX quadruple pass of the F = 2 fused sweep), then
-// finishes with the ordinary sweep over the remaining qubits.
+// pass over the state, then finishes with the ordinary sweep over the
+// remaining qubits. The F = 2 kernels (ApplyPhaseRXFused, one per
+// representation) fold it into the first RX⊗RX quadruple pass and are
+// the layer every pooled backend runs; ApplyPhaseRX folds it into the
+// qubit-0 butterfly of Algorithm 2's per-qubit sweep and is the serial
+// reference layer. Below n = 2 the F = 2 kernels run the phase pass and
+// a single-qubit RX.
 //
 // The fused kernels compute the exact arithmetic sequence of the phase
 // followed by the mixer — each amplitude is phased into a local
@@ -42,22 +46,6 @@ func ApplyPhaseRX(v Vec, ph Phase, beta float64) {
 	}
 }
 
-// ApplyPhaseRX is the pool version of the combined phase+mixer sweep.
-func (p *Pool) ApplyPhaseRX(v Vec, ph Phase, beta float64) {
-	ph.check("ApplyPhaseRX", len(v))
-	n := v.NumQubits()
-	if n == 0 {
-		p.ApplyPhase(v, ph)
-		return
-	}
-	s64, c64 := math.Sincos(beta)
-	a, b := complex(c64, 0), complex(0, -s64)
-	p.Run(len(v)/2, func(lo, hi int) { phaseRXRange(v, &ph, a, b, lo, hi) })
-	for q := 1; q < n; q++ {
-		p.ApplySU2(v, q, a, b)
-	}
-}
-
 // phaseRXRange phases and rotates the qubit-0 pairs [lo, hi).
 func phaseRXRange(v Vec, ph *Phase, a, b complex128, lo, hi int) {
 	ac, bc := conj(a), conj(b)
@@ -84,7 +72,10 @@ func ApplyPhaseRXFused(v Vec, ph Phase, beta float64) {
 	ph.check("ApplyPhaseRXFused", len(v))
 	n := v.NumQubits()
 	if n < 2 {
-		ApplyPhaseRX(v, ph, beta)
+		ApplyPhase(v, ph)
+		if n == 1 {
+			ApplyRX(v, 0, beta)
+		}
 		return
 	}
 	s, c := math.Sincos(beta)
@@ -102,15 +93,18 @@ func ApplyPhaseRXFused(v Vec, ph Phase, beta float64) {
 }
 
 // ApplyPhaseRXFused is the pool version of the combined phase + F = 2
-// fused sweep.
+// fused sweep: the Parallel backend's layer.
 func (p *Pool) ApplyPhaseRXFused(v Vec, ph Phase, beta float64) {
 	ph.check("ApplyPhaseRXFused", len(v))
 	n := v.NumQubits()
+	s, c := math.Sincos(beta)
 	if n < 2 {
-		p.ApplyPhaseRX(v, ph, beta)
+		p.ApplyPhase(v, ph)
+		if n == 1 {
+			p.ApplySU2(v, 0, complex(c, 0), complex(0, -s))
+		}
 		return
 	}
-	s, c := math.Sincos(beta)
 	cc := complex(c*c, 0)
 	ss := complex(-s*s, 0)
 	ics := complex(0, -c*s)
@@ -146,51 +140,16 @@ func phaseRXPairRange(v Vec, ph *Phase, cc, ss, ics complex128, lo, hi int) {
 	}
 }
 
-// ApplyPhaseRX is the split-layout combined sweep: phase rotation and qubit-0 RX butterfly
-// expanded into real arithmetic in one pass, then the RX passes for
-// qubits 1..n−1.
-func (s *SoA) ApplyPhaseRX(p *Pool, ph Phase, beta float64) {
-	ph.check("ApplyPhaseRX", len(s.Re))
-	n := s.NumQubits()
-	if n == 0 {
-		s.ApplyPhase(p, ph)
-		return
-	}
-	sn, cs := math.Sincos(beta)
-	re, im := s.Re, s.Im
-	p.Run(len(re)/2, func(lo, hi int) {
-		var fc, fs [phaseBlock]float64
-		for b := 2 * lo; b < 2*hi; b += phaseBlock {
-			c := fc[:min(phaseBlock, 2*hi-b)]
-			ph.fill(b, c, fs[:])
-			for j := 0; j < len(c); j += 2 {
-				l1 := b + j
-				l2 := l1 + 1
-				p1s, p1c := fs[j], c[j]
-				p2s, p2c := fs[j+1], c[j+1]
-				r1 := re[l1]*p1c - im[l1]*p1s
-				i1 := re[l1]*p1s + im[l1]*p1c
-				r2 := re[l2]*p2c - im[l2]*p2s
-				i2 := re[l2]*p2s + im[l2]*p2c
-				re[l1] = cs*r1 + sn*i2
-				im[l1] = cs*i1 - sn*r2
-				re[l2] = cs*r2 + sn*i1
-				im[l2] = cs*i2 - sn*r1
-			}
-		}
-	})
-	for q := 1; q < n; q++ {
-		s.ApplyRX(p, q, beta)
-	}
-}
-
 // ApplyPhaseRXFused is the split-layout combined phase + F = 2 fused
-// sweep.
+// sweep: the SoA backend's layer.
 func (sv *SoA) ApplyPhaseRXFused(p *Pool, ph Phase, beta float64) {
 	ph.check("ApplyPhaseRXFused", len(sv.Re))
 	n := sv.NumQubits()
 	if n < 2 {
-		sv.ApplyPhaseRX(p, ph, beta)
+		sv.ApplyPhase(p, ph)
+		if n == 1 {
+			sv.ApplyRX(p, 0, beta)
+		}
 		return
 	}
 	s, c := math.Sincos(beta)
@@ -238,53 +197,16 @@ func (sv *SoA) ApplyPhaseRXFused(p *Pool, ph Phase, beta float64) {
 	}
 }
 
-// ApplyPhaseRX is the single-precision combined sweep. Phase factors
-// and rotation coefficients are evaluated in float64 and rounded once;
-// the amplitude arithmetic is float32, matching the unfused
-// ApplyPhase→ApplyRX sequence bit for bit.
-func (s *SoA32) ApplyPhaseRX(p *Pool, ph Phase, beta float64) {
-	ph.check("ApplyPhaseRX", len(s.Re))
-	n := s.NumQubits()
-	if n == 0 {
-		s.ApplyPhase(p, ph)
-		return
-	}
-	sn64, cs64 := math.Sincos(beta)
-	sn, cs := float32(sn64), float32(cs64)
-	re, im := s.Re, s.Im
-	p.Run(len(re)/2, func(lo, hi int) {
-		var fc, fs [phaseBlock]float64
-		for b := 2 * lo; b < 2*hi; b += phaseBlock {
-			c := fc[:min(phaseBlock, 2*hi-b)]
-			ph.fill(b, c, fs[:])
-			for j := 0; j < len(c); j += 2 {
-				l1 := b + j
-				l2 := l1 + 1
-				p1s, p1c := float32(fs[j]), float32(c[j])
-				p2s, p2c := float32(fs[j+1]), float32(c[j+1])
-				r1 := re[l1]*p1c - im[l1]*p1s
-				i1 := re[l1]*p1s + im[l1]*p1c
-				r2 := re[l2]*p2c - im[l2]*p2s
-				i2 := re[l2]*p2s + im[l2]*p2c
-				re[l1] = cs*r1 + sn*i2
-				im[l1] = cs*i1 - sn*r2
-				re[l2] = cs*r2 + sn*i1
-				im[l2] = cs*i2 - sn*r1
-			}
-		}
-	})
-	for q := 1; q < n; q++ {
-		s.ApplyRX(p, q, beta)
-	}
-}
-
 // ApplyPhaseRXFused is the single-precision combined phase + F = 2
 // fused sweep.
 func (s *SoA32) ApplyPhaseRXFused(p *Pool, ph Phase, beta float64) {
 	ph.check("ApplyPhaseRXFused", len(s.Re))
 	n := s.NumQubits()
 	if n < 2 {
-		s.ApplyPhaseRX(p, ph, beta)
+		s.ApplyPhase(p, ph)
+		if n == 1 {
+			s.ApplyRX(p, 0, beta)
+		}
 		return
 	}
 	sn64, cs64 := math.Sincos(beta)

@@ -6,10 +6,10 @@ import (
 )
 
 // TestFusedLayerMatchesUnfused is the property suite for the fused
-// phase+mixer kernels: on every representation (serial Vec, Pool, SoA,
-// SoA32), for odd and even n including the n < 2 degenerate cases, the
-// combined kernel must reproduce PhaseDiag followed by the mixer sweep
-// to rtol 1e-12. The fused kernels replay the exact unfused arithmetic
+// phase+mixer kernels: the serial per-qubit layer and the F = 2 layer
+// on every representation (serial Vec, Pool, SoA, SoA32), for odd and
+// even n including the n < 2 degenerate cases, must reproduce PhaseDiag
+// followed by the mixer sweep to rtol 1e-12. The fused kernels replay the exact unfused arithmetic
 // per amplitude, so the double-precision paths agree bit-for-bit and
 // even the float32 path sits far inside the tolerance.
 func TestFusedLayerMatchesUnfused(t *testing.T) {
@@ -56,20 +56,9 @@ func TestFusedLayerMatchesUnfused(t *testing.T) {
 		for _, workers := range []int{1, 3} {
 			p := NewPool(workers)
 			p.minParallel = 1
-			pf := v.Clone()
-			p.ApplyPhaseRX(pf, ph, beta)
-			check("pool", pf, want)
-
 			pfp := v.Clone()
 			p.ApplyPhaseRXFused(pfp, ph, beta)
 			check("pool pair-fused", pfp, wantPair)
-
-			soa := SoAFromVec(v)
-			soa.ApplyPhaseRX(p, ph, beta)
-			soaWant := SoAFromVec(v)
-			soaWant.PhaseDiag(p, diag, gamma)
-			soaWant.ApplyUniformRX(p, beta)
-			check("soa", soa.ToVec(), soaWant.ToVec())
 
 			soaPair := SoAFromVec(v)
 			soaPair.ApplyPhaseThenUniformRXFused(p, diag, gamma, beta)
@@ -77,13 +66,6 @@ func TestFusedLayerMatchesUnfused(t *testing.T) {
 			soaPairWant.PhaseDiag(p, diag, gamma)
 			soaPairWant.ApplyUniformRXFused(p, beta)
 			check("soa pair-fused", soaPair.ToVec(), soaPairWant.ToVec())
-
-			soa32 := SoA32FromVec(v)
-			soa32.ApplyPhaseRX(p, ph, beta)
-			soa32Want := SoA32FromVec(v)
-			soa32Want.PhaseDiag(p, diag, gamma)
-			soa32Want.ApplyUniformRX(p, beta)
-			check("soa32", soa32.ToVec(), soa32Want.ToVec())
 
 			soa32Pair := SoA32FromVec(v)
 			soa32Pair.ApplyPhaseRXFused(p, ph, beta)

@@ -1,18 +1,14 @@
 package statevec
 
-import (
-	"math"
-	"math/bits"
-)
+import "math"
 
-// This file holds the fast Walsh–Hadamard transform and the
-// FWHT-based transverse-field mixer route.
+// This file holds the fast Walsh–Hadamard transform H^⊗n. The x-mixer
+// layers never run it (they sweep qubits directly); it is the
+// independent reference the mixer tests check e^{−iβΣX} against
+// (H^⊗n · diag(e^{−iβ(n−2|x|)}) · H^⊗n, ref. [43] of the paper).
 //
 // The textbook FWHT streams the whole 2^n vector once per butterfly
-// stage — n full memory traversals. That is exactly the access pattern
-// the paper's §III-B criticizes in the serial Python simulator, and at
-// n ≥ 20 the state no longer fits in cache, so every stage pays DRAM
-// bandwidth. Two restructurings cut the traversal count:
+// stage. Two restructurings cut the traversal count:
 //
 //   - Low stages (stride < blockLen) are applied block-by-block: an
 //     aligned block of blockLen amplitudes contains both endpoints of
@@ -25,18 +21,12 @@ import (
 //     rounding).
 //
 // A full transform therefore costs 1 + ⌈(n − log2 blockLen)/2⌉
-// traversals instead of n. Block lengths target ≈256 KiB of state —
-// comfortably inside L2 — per element type.
-const (
-	fwhtBlockComplex = 1 << 14 // complex128: 16 B/amplitude → 256 KiB
-	fwhtBlockFloat64 = 1 << 15 // float64 plane: 8 B → 256 KiB
-	fwhtBlockFloat32 = 1 << 16 // float32 plane: 4 B → 256 KiB
-)
+// traversals instead of n.
+const fwhtBlockComplex = 1 << 14 // complex128: 16 B/amplitude → 256 KiB
 
-// fwhtElem covers every element type the transform runs on. The
-// Walsh–Hadamard butterfly is real-linear, so the split-layout (SoA)
-// states transform as two independent real FWHTs over the Re and Im
-// planes; one generic implementation serves all three.
+// fwhtElem covers the element types the transform runs on: the
+// butterfly is real-linear, so a complex state transforms exactly as
+// its real and imaginary planes transformed independently.
 type fwhtElem interface {
 	~float32 | ~float64 | ~complex128
 }
@@ -46,18 +36,12 @@ const invSqrt2 = 1 / math.Sqrt2
 // FWHT applies the normalized fast Walsh–Hadamard transform H^⊗n in
 // place. Applying it twice recovers the input (H is an involution).
 // The paper's §III-B notes the mixer at β = π/2 is exactly this
-// transform; ApplyUniformRXViaFWHT builds the general-β mixer from it.
+// transform.
 func FWHT(v Vec) { fwhtSerial(v, fwhtBlockComplex) }
 
-// FWHT is the pool version of the transform. Below the pool's inline
-// threshold it falls back to the serial transform outright — the old
-// per-stage fan-out spawned a parallel Run per butterfly stage, whose
-// goroutine overhead dwarfs the work on tiny states.
-func (p *Pool) FWHT(v Vec) { fwhtPool(p, v, fwhtBlockComplex) }
-
-// fwhtSerial is the cache-blocked serial transform over any element
-// type; blockLen must be a power of two (callers pass the per-type
-// constants; tests shrink it to exercise the high-stage code).
+// fwhtSerial is the cache-blocked transform over any element type;
+// blockLen must be a power of two (tests shrink it to exercise the
+// high-stage code).
 func fwhtSerial[T fwhtElem](v []T, blockLen int) {
 	n := numQubits(len(v))
 	if n == 0 {
@@ -71,52 +55,6 @@ func fwhtSerial[T fwhtElem](v []T, blockLen int) {
 		fwhtLowStages(v[base:base+blockLen], low)
 	}
 	fwhtHighStages(v, low, n)
-}
-
-// fwhtPool is the worker-pool blocked transform: blocks are the work
-// items of the low-stage pass (coarse items, so the split threshold is
-// taken on total elements via runWork), and each high-stage traversal
-// parallelizes over its butterfly index space.
-func fwhtPool[T fwhtElem](p *Pool, v []T, blockLen int) {
-	if p == nil || p.Workers <= 1 || len(v) < p.minParallel {
-		fwhtSerial(v, blockLen)
-		return
-	}
-	n := numQubits(len(v))
-	if blockLen > len(v) {
-		blockLen = len(v)
-	}
-	low := numQubits(blockLen)
-	blocks := len(v) / blockLen
-	p.runWork(blocks, blockLen, func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			fwhtLowStages(v[b*blockLen:(b+1)*blockLen], low)
-		}
-	})
-	q := low
-	for ; q+1 < n; q += 2 {
-		stride := 1 << uint(q)
-		mask := stride - 1
-		p.Run(len(v)/4, func(lo, hi int) {
-			for t := lo; t < hi; t++ {
-				i0 := (t>>uint(q))<<uint(q+2) | (t & mask)
-				fwhtRadix4(v, i0, stride)
-			}
-		})
-	}
-	if q < n {
-		stride := 1 << uint(q)
-		mask := stride - 1
-		p.Run(len(v)/2, func(lo, hi int) {
-			for t := lo; t < hi; t++ {
-				l1 := (t>>uint(q))<<uint(q+1) | (t & mask)
-				l2 := l1 + stride
-				y1, y2 := v[l1], v[l2]
-				v[l1] = (y1 + y2) * T(invSqrt2)
-				v[l2] = (y1 - y2) * T(invSqrt2)
-			}
-		})
-	}
 }
 
 // fwhtLowStages applies butterfly stages 0..stages−1 within one
@@ -178,98 +116,4 @@ func fwhtRadix4[T fwhtElem](v []T, i0, s int) {
 	v[i1] = (a1 + b1) * T(0.5)
 	v[i2] = (a0 - b0) * T(0.5)
 	v[i3] = (a1 - b1) * T(0.5)
-}
-
-// mixerPhaseTables returns cos/sin of −β·(n−2k) for k = 0..n: the
-// Walsh-basis eigenphases of the transverse-field mixer. Conjugating
-// by H^⊗n turns ΣX into ΣZ, whose eigenvalue on |x⟩ is n − 2·popcount(x),
-// so e^{−iβΣX} = H^⊗n · diag(e^{−iβ(n−2|x|)}) · H^⊗n.
-func mixerPhaseTables(n int, beta float64) (cosT, sinT []float64) {
-	cosT = make([]float64, n+1)
-	sinT = make([]float64, n+1)
-	for k := 0; k <= n; k++ {
-		s, c := math.Sincos(-beta * float64(n-2*k))
-		cosT[k], sinT[k] = c, s
-	}
-	return cosT, sinT
-}
-
-// ApplyUniformRXViaFWHT applies the transverse-field mixer e^{−iβΣX_i}
-// through the Walsh–Hadamard route: forward transform, popcount-indexed
-// diagonal phase, inverse transform. With the blocked FWHT this costs
-// ≈ 3 + (n − log2 blockLen) full traversals independent of how the
-// sweep route scales with n, so it wins when per-qubit sweeps dominate;
-// core.Simulator calibrates the crossover per (n, workers).
-func ApplyUniformRXViaFWHT(v Vec, beta float64) {
-	n := v.NumQubits()
-	cosT, sinT := mixerPhaseTables(n, beta)
-	fwhtSerial(v, fwhtBlockComplex)
-	for i := range v {
-		k := bits.OnesCount(uint(i))
-		v[i] *= complex(cosT[k], sinT[k])
-	}
-	fwhtSerial(v, fwhtBlockComplex)
-}
-
-// ApplyUniformRXViaFWHT is the pool version of the Walsh–Hadamard
-// mixer route.
-func (p *Pool) ApplyUniformRXViaFWHT(v Vec, beta float64) {
-	n := v.NumQubits()
-	cosT, sinT := mixerPhaseTables(n, beta)
-	fwhtPool(p, v, fwhtBlockComplex)
-	p.Run(len(v), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			k := bits.OnesCount(uint(i))
-			v[i] *= complex(cosT[k], sinT[k])
-		}
-	})
-	fwhtPool(p, v, fwhtBlockComplex)
-}
-
-// ApplyUniformRXViaFWHT is the split-layout Walsh–Hadamard mixer: the
-// transform is real-linear, so the Re and Im planes transform
-// independently and only the popcount phase mixes them.
-func (s *SoA) ApplyUniformRXViaFWHT(p *Pool, beta float64) {
-	n := s.NumQubits()
-	cosT, sinT := mixerPhaseTables(n, beta)
-	re, im := s.Re, s.Im
-	fwhtPool(p, re, fwhtBlockFloat64)
-	fwhtPool(p, im, fwhtBlockFloat64)
-	p.Run(len(re), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			k := bits.OnesCount(uint(i))
-			cs, sn := cosT[k], sinT[k]
-			r, m := re[i], im[i]
-			re[i] = r*cs - m*sn
-			im[i] = r*sn + m*cs
-		}
-	})
-	fwhtPool(p, re, fwhtBlockFloat64)
-	fwhtPool(p, im, fwhtBlockFloat64)
-}
-
-// ApplyUniformRXViaFWHT is the single-precision split-layout route;
-// phase tables are evaluated in float64 and rounded once.
-func (s *SoA32) ApplyUniformRXViaFWHT(p *Pool, beta float64) {
-	n := s.NumQubits()
-	cosT64, sinT64 := mixerPhaseTables(n, beta)
-	cosT := make([]float32, n+1)
-	sinT := make([]float32, n+1)
-	for k := 0; k <= n; k++ {
-		cosT[k], sinT[k] = float32(cosT64[k]), float32(sinT64[k])
-	}
-	re, im := s.Re, s.Im
-	fwhtPool(p, re, fwhtBlockFloat32)
-	fwhtPool(p, im, fwhtBlockFloat32)
-	p.Run(len(re), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			k := bits.OnesCount(uint(i))
-			cs, sn := cosT[k], sinT[k]
-			r, m := re[i], im[i]
-			re[i] = r*cs - m*sn
-			im[i] = r*sn + m*cs
-		}
-	})
-	fwhtPool(p, re, fwhtBlockFloat32)
-	fwhtPool(p, im, fwhtBlockFloat32)
 }

@@ -3,7 +3,6 @@ package statevec
 import (
 	"math"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 )
 
@@ -42,16 +41,7 @@ func TestFWHTBlockedMatchesReference(t *testing.T) {
 			got := orig.Clone()
 			fwhtSerial(got, blockLen)
 			if d := MaxAbsDiff(got, want); d > 1e-12 {
-				t.Errorf("n=%d blockLen=%d serial blocked FWHT deviates by %g", n, blockLen, d)
-			}
-			for _, workers := range []int{2, 3, 7} {
-				p := NewPool(workers)
-				p.minParallel = 1 // force the parallel path on tiny states
-				got := orig.Clone()
-				fwhtPool(p, got, blockLen)
-				if d := MaxAbsDiff(got, want); d > 1e-12 {
-					t.Errorf("n=%d blockLen=%d workers=%d pooled blocked FWHT deviates by %g", n, blockLen, workers, d)
-				}
+				t.Errorf("n=%d blockLen=%d blocked FWHT deviates by %g", n, blockLen, d)
 			}
 		}
 	}
@@ -91,109 +81,4 @@ func TestFWHTRealPlanes(t *testing.T) {
 			t.Fatalf("float32 Re plane deviates at %d by %g", i, d)
 		}
 	}
-}
-
-// TestPoolFWHTSerialFallback pins the satellite fix: below the pool's
-// inline threshold Pool.FWHT must produce exactly the serial result
-// (it delegates outright instead of spawning a parallel Run per
-// butterfly stage), and above it the parallel path must still agree.
-func TestPoolFWHTSerialFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	p := NewPool(4) // default minParallel = 1<<12
-	small := randomState(rng, 8)
-	want := small.Clone()
-	FWHT(want)
-	got := small.Clone()
-	p.FWHT(got)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("below-threshold Pool.FWHT is not bit-identical to serial at %d: %v vs %v", i, got[i], want[i])
-		}
-	}
-
-	big := randomState(rng, 13) // 2^13 ≥ minParallel: parallel path
-	want = big.Clone()
-	FWHT(want)
-	p.FWHT(big)
-	if d := MaxAbsDiff(big, want); d > 1e-12 {
-		t.Fatalf("above-threshold Pool.FWHT deviates from serial by %g", d)
-	}
-}
-
-// TestMixerViaFWHTRouteMatchesSweep checks the full FWHT mixer route —
-// forward transform, popcount diagonal, inverse — against the
-// Algorithm 2 sweep on every state representation, for odd and even n
-// (n = 15 exceeds the complex block length, so the serial route also
-// crosses into the high-stage code).
-func TestMixerViaFWHTRouteMatchesSweep(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for _, n := range []int{1, 2, 5, 6, 15} {
-		beta := 0.37 + 0.11*float64(n)
-		v := randomState(rng, n)
-		v.Normalize()
-		want := v.Clone()
-		ApplyUniformRX(want, beta)
-
-		serial := v.Clone()
-		ApplyUniformRXViaFWHT(serial, beta)
-		if d := MaxAbsDiff(serial, want); d > 1e-11 {
-			t.Errorf("n=%d serial FWHT route deviates by %g", n, d)
-		}
-
-		p := NewPool(3)
-		p.minParallel = 1
-		pooled := v.Clone()
-		p.ApplyUniformRXViaFWHT(pooled, beta)
-		if d := MaxAbsDiff(pooled, want); d > 1e-11 {
-			t.Errorf("n=%d pooled FWHT route deviates by %g", n, d)
-		}
-
-		soa := SoAFromVec(v)
-		soa.ApplyUniformRXViaFWHT(p, beta)
-		if d := MaxAbsDiff(soa.ToVec(), want); d > 1e-11 {
-			t.Errorf("n=%d SoA FWHT route deviates by %g", n, d)
-		}
-
-		soa32 := SoA32FromVec(v)
-		soa32.ApplyUniformRXViaFWHT(p, beta)
-		if d := MaxAbsDiff(soa32.ToVec(), want); d > 1e-4*float64(n) {
-			t.Errorf("n=%d SoA32 FWHT route deviates by %g", n, d)
-		}
-	}
-}
-
-// TestRunWorkThreshold pins runWork's coarse-item semantics: a few
-// large blocks must still split across workers (total elements above
-// minParallel), while genuinely tiny work stays inline.
-func TestRunWorkThreshold(t *testing.T) {
-	p := NewPool(4)
-	var calls atomic.Int32
-	p.runWork(8, 1<<12, func(lo, hi int) { calls.Add(1) })
-	if calls.Load() < 2 {
-		t.Errorf("runWork(8 blocks × 4096) ran inline (%d chunk calls), want a parallel split", calls.Load())
-	}
-	calls.Store(0)
-	p.runWork(8, 16, func(lo, hi int) { calls.Add(1) })
-	if calls.Load() != 1 {
-		t.Errorf("runWork(8 blocks × 16) split into %d chunks, want inline", calls.Load())
-	}
-}
-
-func BenchmarkMixerRoutes(b *testing.B) {
-	const n = 18
-	beta := 0.4
-	p := NewPool(0)
-	v := NewUniform(n)
-	b.Run("sweep", func(b *testing.B) {
-		b.SetBytes(int64(16 * len(v)))
-		for i := 0; i < b.N; i++ {
-			p.ApplyUniformRX(v, beta)
-		}
-	})
-	b.Run("fwht", func(b *testing.B) {
-		b.SetBytes(int64(16 * len(v)))
-		for i := 0; i < b.N; i++ {
-			p.ApplyUniformRXViaFWHT(v, beta)
-		}
-	})
 }

@@ -39,18 +39,6 @@ func (p *Pool) Run(n int, fn func(lo, hi int)) {
 	p.runParallel(n, fn)
 }
 
-// runWork is Run for coarse work items: the inline threshold is taken
-// on the total element count (n items × work elements each) rather
-// than the item count, so a pass over a few large blocks still splits
-// across workers (n blocks alone would always sit under minParallel).
-func (p *Pool) runWork(n, work int, fn func(lo, hi int)) {
-	if p == nil || p.Workers <= 1 || n*work < p.minParallel {
-		fn(0, n)
-		return
-	}
-	p.runParallel(n, fn)
-}
-
 func (p *Pool) runParallel(n int, fn func(lo, hi int)) {
 	w := p.Workers
 	if w > n {
@@ -122,17 +110,6 @@ func (p *Pool) ApplySU2(v Vec, q int, a, b complex128) {
 			v[l2] = b*y1 + ac*y2
 		}
 	})
-}
-
-// ApplyUniformRX applies the transverse-field mixer with the pool
-// engine (Algorithm 2 over Algorithm 1 pool kernels).
-func (p *Pool) ApplyUniformRX(v Vec, beta float64) {
-	n := v.NumQubits()
-	s, c := math.Sincos(beta)
-	a, b := complex(c, 0), complex(0, -s)
-	for q := 0; q < n; q++ {
-		p.ApplySU2(v, q, a, b)
-	}
 }
 
 // ApplyXY is the pool version of the SU(4) xy kernel.

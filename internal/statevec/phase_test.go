@@ -119,8 +119,8 @@ func TestPhaseTableKernelsMatchSincos(t *testing.T) {
 		}
 		pool := &Pool{Workers: 3, minParallel: 1}
 
-		// References: phase, phase then per-qubit sweep, phase then
-		// F = 2 sweep.
+		// References: phase, phase then per-qubit sweep (serial only),
+		// phase then F = 2 sweep.
 		vecRef := [3]Vec{v.Clone(), v.Clone(), v.Clone()}
 		soaRef := [3]*SoA{SoAFromVec(v), SoAFromVec(v), SoAFromVec(v)}
 		soa32Ref := [3]*SoA32{SoA32FromVec(v), SoA32FromVec(v), SoA32FromVec(v)}
@@ -131,9 +131,7 @@ func TestPhaseTableKernelsMatchSincos(t *testing.T) {
 		}
 		ApplyUniformRX(vecRef[1], beta)
 		ApplyUniformRXFused(vecRef[2], beta)
-		soaRef[1].ApplyUniformRX(pool, beta)
 		soaRef[2].ApplyUniformRXFused(pool, beta)
-		soa32Ref[1].ApplyUniformRX(pool, beta)
 		soa32Ref[2].ApplyUniformRXFused(pool, beta)
 
 		for src, ph := range sources {
@@ -151,10 +149,8 @@ func TestPhaseTableKernelsMatchSincos(t *testing.T) {
 					[]func(Vec){func(x Vec) { ApplyPhase(x, ph) }, func(x Vec) { pool.ApplyPhase(x, ph) }},
 					[]func(*SoA){func(s *SoA) { s.ApplyPhase(pool, ph) }},
 					[]func(*SoA32){func(s *SoA32) { s.ApplyPhase(pool, ph) }}},
-				{"layer",
-					[]func(Vec){func(x Vec) { ApplyPhaseRX(x, ph, beta) }, func(x Vec) { pool.ApplyPhaseRX(x, ph, beta) }},
-					[]func(*SoA){func(s *SoA) { s.ApplyPhaseRX(pool, ph, beta) }},
-					[]func(*SoA32){func(s *SoA32) { s.ApplyPhaseRX(pool, ph, beta) }}},
+				{"layer", // the per-qubit layer is the serial reference only
+					[]func(Vec){func(x Vec) { ApplyPhaseRX(x, ph, beta) }}, nil, nil},
 				{"pairLayer",
 					[]func(Vec){func(x Vec) { ApplyPhaseRXFused(x, ph, beta) }, func(x Vec) { pool.ApplyPhaseRXFused(x, ph, beta) }},
 					[]func(*SoA){func(s *SoA) { s.ApplyPhaseRXFused(pool, ph, beta) }},
@@ -338,8 +334,8 @@ func TestPairKernelsMatchGradReductions(t *testing.T) {
 			wl32, wp32 := SoA32FromVec(lam), SoA32FromVec(psi)
 			gl32, gp32 := SoA32FromVec(lam), SoA32FromVec(psi)
 			wantX = wl32.ImDotXAll(pool, wp32)
-			wl32.ApplyUniformRX(pool, beta)
-			wp32.ApplyUniformRX(pool, beta)
+			sweepRX32(wl32, pool, beta)
+			sweepRX32(wp32, pool, beta)
 			closeTo("soa32 PairUniformRX", gl32.PairUniformRX(pool, gp32, beta), wantX, 1e-6)
 			wantC = wl32.ImDotDiag(pool, wp32, diag)
 			refPhaseSoA32(wl32, diag, gamma)

@@ -106,7 +106,7 @@ func TestPoolApplyUniformRXConcurrent(t *testing.T) {
 		name  string
 		apply func(v Vec, soa *SoA, beta float64)
 	}{
-		{"pool", func(v Vec, _ *SoA, beta float64) { pool.ApplyUniformRX(v, beta) }},
+		{"pool", func(v Vec, _ *SoA, beta float64) { poolSweepRX(pool, v, beta) }},
 		{"pool-fused", func(v Vec, _ *SoA, beta float64) { pool.ApplyUniformRXFused(v, beta) }},
 		{"soa", func(_ Vec, s *SoA, beta float64) { s.ApplyUniformRX(pool, beta) }},
 		{"soa-fused", func(_ Vec, s *SoA, beta float64) { s.ApplyUniformRXFused(pool, beta) }},

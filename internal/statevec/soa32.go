@@ -107,14 +107,6 @@ func (s *SoA32) ApplyRX(p *Pool, q int, beta float64) {
 	})
 }
 
-// ApplyUniformRX sweeps ApplyRX over all qubits (Algorithm 2).
-func (s *SoA32) ApplyUniformRX(p *Pool, beta float64) {
-	n := s.NumQubits()
-	for q := 0; q < n; q++ {
-		s.ApplyRX(p, q, beta)
-	}
-}
-
 // ApplyUniformRXFused is the F = 2 fused sweep in single precision.
 func (s *SoA32) ApplyUniformRXFused(p *Pool, beta float64) {
 	n := s.NumQubits()

@@ -1,12 +1,14 @@
 // Package statevec is the state-vector substrate of the simulator: a
 // dense 2^n complex128 amplitude vector together with the in-place
 // kernels the QOKit paper builds on — the strided SU(2) pair update of
-// Algorithm 1, the uniform SU(2) transform of Algorithm 2, the SU(4)
-// pair kernel behind the xy mixers, diagonal (phase) multiplication,
-// the fast Walsh–Hadamard transform, and the reductions (norm, inner
-// product, diagonal expectation) that evaluate the QAOA objective.
+// Algorithm 1, the uniform SU(2) transform of Algorithm 2 and its
+// F = 2 pair-fused form (the layer the pooled simulator backends run),
+// the SU(4) pair kernel behind the xy mixers, diagonal (phase)
+// multiplication, the fast Walsh–Hadamard transform, and the
+// reductions (norm, inner product, diagonal expectation) that evaluate
+// the QAOA objective.
 //
-// Each kernel comes in three flavours:
+// Most kernels come in three flavours:
 //   - a serial complex128 version (the portable reference),
 //   - a worker-pool version (Pool), the CPU analogue of the paper's
 //     CUDA grid: the index space is split into independent chunks, and

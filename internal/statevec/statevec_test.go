@@ -20,6 +20,23 @@ func randomState(rng *rand.Rand, n int) Vec {
 	return v
 }
 
+// poolSweepRX is Algorithm 2 on the pool: one ApplySU2 pass per qubit,
+// the per-qubit reference for the pooled F = 2 kernels.
+func poolSweepRX(p *Pool, v Vec, beta float64) {
+	s, c := math.Sincos(beta)
+	for q := 0; q < v.NumQubits(); q++ {
+		p.ApplySU2(v, q, complex(c, 0), complex(0, -s))
+	}
+}
+
+// sweepRX32 is Algorithm 2 on a single-precision state: one ApplyRX
+// pass per qubit, the reference for the SoA32 F = 2 and paired kernels.
+func sweepRX32(s *SoA32, p *Pool, beta float64) {
+	for q := 0; q < s.NumQubits(); q++ {
+		s.ApplyRX(p, q, beta)
+	}
+}
+
 func TestConstructors(t *testing.T) {
 	u := NewUniform(3)
 	if len(u) != 8 {
@@ -365,7 +382,7 @@ func TestPhaseDiagExactOnBasis(t *testing.T) {
 	}
 }
 
-func TestMixerViaFWHTEqualsAlgorithm2(t *testing.T) {
+func TestMixerFWHTConjugationEqualsAlgorithm2(t *testing.T) {
 	// Ref. [43]'s method: e^{−iβΣX} = H^⊗n e^{−iβΣZ} H^⊗n, where the
 	// diagonal of ΣZ_i at x is n − 2·popcount(x). The paper notes this
 	// costs two transforms; Algorithm 2 does it in one pass. Both must
@@ -410,7 +427,7 @@ func TestPoolKernelsMatchSerial(t *testing.T) {
 		}
 
 		ApplyUniformRX(serial, 0.9)
-		p.ApplyUniformRX(pooled, 0.9)
+		poolSweepRX(p, pooled, 0.9)
 		if d := MaxAbsDiff(serial, pooled); d > tol {
 			t.Fatalf("workers=%d UniformRX mismatch: %g", workers, d)
 		}
@@ -434,12 +451,6 @@ func TestPoolKernelsMatchSerial(t *testing.T) {
 			t.Fatalf("workers=%d norm mismatch: %v vs %v", workers, a, b)
 		}
 
-		fa, fb := serial.Clone(), pooled.Clone()
-		FWHT(fa)
-		p.FWHT(fb)
-		if d := MaxAbsDiff(fa, fb); d > tol {
-			t.Fatalf("workers=%d FWHT mismatch: %g", workers, d)
-		}
 	}
 }
 

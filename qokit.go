@@ -57,7 +57,7 @@ func NewTerms(terms ...Term) Terms { return poly.New(terms...) }
 type StateVector = statevec.Vec
 
 // Options configures a Simulator (backend, mixer, worker count,
-// initial state, uint16 diagonal quantization, ablation switches).
+// initial state, uint16 diagonal quantization, the RecomputePhase ablation).
 type Options = core.Options
 
 // Simulator is a QAOA fast simulator bound to one problem instance;
@@ -91,23 +91,6 @@ const (
 	MixerXYRing     = core.MixerXYRing
 	MixerXYComplete = core.MixerXYComplete
 )
-
-// MixerRoute selects how the x mixer is executed: the per-qubit sweep
-// or the cache-blocked Walsh–Hadamard route (Options.MixerRoute).
-type MixerRoute = core.MixerRoute
-
-// Mixer routes: RouteAuto (the default) calibrates sweep vs FWHT once
-// per (n, workers, backend, precision, fusion) shape and uses the
-// winner; the other two force a route. RouteFWHT is valid only with
-// MixerX.
-const (
-	RouteAuto  = core.RouteAuto
-	RouteSweep = core.RouteSweep
-	RouteFWHT  = core.RouteFWHT
-)
-
-// ParseMixerRoute resolves a route name ("auto", "sweep", "fwht").
-func ParseMixerRoute(name string) (MixerRoute, error) { return core.ParseMixerRoute(name) }
 
 // NewSimulator builds a simulator for an n-qubit problem from its cost
 // polynomial, precomputing the cost diagonal (the paper's Fig. 1
