@@ -11,11 +11,9 @@ import (
 	"qokit/internal/cluster"
 	"qokit/internal/core"
 	"qokit/internal/distsim"
-	"qokit/internal/evaluator"
 	"qokit/internal/grad"
 	"qokit/internal/optimize"
 	"qokit/internal/problems"
-	"qokit/internal/serve"
 )
 
 // runDistGrad measures the distributed adjoint gradient: one exact
@@ -90,7 +88,7 @@ func runDistGrad(w io.Writer, args []string) error {
 			if err != nil {
 				return err
 			}
-			svc, err := serve.New([]evaluator.Evaluator{deng}, serve.Options{WorkersPerEvaluator: 1})
+			svc, err := staticService(deng, 1)
 			if err != nil {
 				return err
 			}

@@ -48,7 +48,7 @@ func runGrad(w io.Writer, args []string) error {
 	// the production route for optimizer gradients — so its timing
 	// includes the (sub-µs) queue hop; the FD baseline stays on the
 	// bare engine, being generous to the baseline.
-	svc, err := serve.New([]evaluator.Evaluator{eng}, serve.Options{WorkersPerEvaluator: 1})
+	svc, err := staticService(eng, 1)
 	if err != nil {
 		return err
 	}
@@ -93,6 +93,16 @@ func runGrad(w io.Writer, args []string) error {
 	fmt.Fprintf(w, "\nspeedup: %.1f× (theory: ~p = %d×); max |Δ| adjoint vs fd: %.2g\n",
 		tFD.Seconds()/tAdj.Seconds(), *p, maxDiff)
 	return nil
+}
+
+// staticService serves one live evaluator through a fixed pool of k
+// workers (k ≤ 0: the evaluator's own MaxConcurrent); the Static
+// factory keeps the evaluator within its declared concurrency.
+func staticService(ev evaluator.Evaluator, k int) (*serve.Service, error) {
+	if k <= 0 {
+		k = ev.Caps().MaxConcurrent
+	}
+	return serve.NewElastic([]evaluator.Factory{evaluator.Static(ev)}, serve.ElasticOptions{MinWorkers: k, MaxWorkers: k})
 }
 
 // bestOf runs fn reps times and returns the fastest wall-clock,

@@ -10,11 +10,9 @@ import (
 
 	"qokit/internal/benchutil"
 	"qokit/internal/core"
-	"qokit/internal/evaluator"
 	"qokit/internal/graphs"
 	"qokit/internal/lightcone"
 	"qokit/internal/problems"
-	"qokit/internal/serve"
 	"qokit/internal/sweep"
 )
 
@@ -82,7 +80,7 @@ func runLandscape(w io.Writer, args []string) error {
 	// same grid across the sweep-engine workers, each reusing one
 	// buffer.
 	eng := sweep.New(sim, sweep.Options{Workers: *workers})
-	svc, err := serve.New([]evaluator.Evaluator{eng}, serve.Options{WorkersPerEvaluator: *workers})
+	svc, err := staticService(eng, *workers)
 	if err != nil {
 		return err
 	}
@@ -170,7 +168,7 @@ func runLandscapeLightCone(w io.Writer, graphN, degree int, seed int64, grid, wo
 	}
 	tSerial := time.Since(startSerial)
 
-	svc, err := serve.New([]evaluator.Evaluator{eng}, serve.Options{})
+	svc, err := staticService(eng, 0)
 	if err != nil {
 		return err
 	}

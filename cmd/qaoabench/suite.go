@@ -149,7 +149,7 @@ func runSuite(w io.Writer, args []string) error {
 	ctx := context.Background()
 	x := optimize.JoinAngles(gamma, beta)
 	gFlat := make([]float64, 2**p)
-	gsvc, err := serve.New([]evaluator.Evaluator{grad.New(sim)}, serve.Options{WorkersPerEvaluator: 1})
+	gsvc, err := staticService(grad.New(sim), 1)
 	if err != nil {
 		return err
 	}
@@ -171,7 +171,7 @@ func runSuite(w io.Writer, args []string) error {
 	// Sweep: one batch request through the evaluation service over the
 	// concurrent engine, reused buffers.
 	seng := sweep.New(sim, sweep.Options{})
-	ssvc, err := serve.New([]evaluator.Evaluator{seng}, serve.Options{})
+	ssvc, err := staticService(seng, 0)
 	if err != nil {
 		return err
 	}
@@ -192,7 +192,7 @@ func runSuite(w io.Writer, args []string) error {
 		}
 	})
 	report.Benchmarks = append(report.Benchmarks, suiteBenchmark{
-		Name: "sweep", N: *n, P: *p, Points: *points, Workers: ssvc.Workers(),
+		Name: "sweep", N: *n, P: *p, Points: *points, Workers: ssvc.Caps().MaxConcurrent,
 		SecondsPerOp:   tSweep.Seconds(),
 		SecondsPerUnit: tSweep.Seconds() / float64(*points),
 	})
@@ -359,7 +359,7 @@ func runSuite(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	dsvc, err := serve.New([]evaluator.Evaluator{deng}, serve.Options{WorkersPerEvaluator: 1})
+	dsvc, err := staticService(deng, 1)
 	if err != nil {
 		return err
 	}
@@ -415,7 +415,7 @@ func runSuite(w io.Writer, args []string) error {
 		if err != nil {
 			return err
 		}
-		psvc, err := serve.New([]evaluator.Evaluator{peng}, serve.Options{WorkersPerEvaluator: 1})
+		psvc, err := staticService(peng, 1)
 		if err != nil {
 			return err
 		}

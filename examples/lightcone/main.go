@@ -136,7 +136,7 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	svc, err := qokit.NewService([]qokit.Evaluator{eng}, qokit.ServiceOptions{})
+	svc, err := qokit.NewElasticService([]qokit.EvaluatorFactory{qokit.StaticFactory(eng)}, qokit.ElasticOptions{})
 	if err != nil {
 		return err
 	}

@@ -6,13 +6,11 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"qokit/internal/evaluator"
 )
 
-// TestPopSettlesCancelledTasks drives pop directly against a bare
+// TestPopSettlesCancelledTasks drives popElastic directly against a bare
 // (workerless) queue: a run of already-cancelled tasks ahead of a live
-// one must be settled inside the single pop call — each with its
+// one must be settled inside the single popElastic call — each with its
 // context error — and the live task returned, so dead requests never
 // claim a worker iteration each.
 func TestPopSettlesCancelledTasks(t *testing.T) {
@@ -36,7 +34,7 @@ func TestPopSettlesCancelledTasks(t *testing.T) {
 		}
 	}
 
-	got := s.pop()
+	got := s.popElastic(&build{})
 	if got != live {
 		t.Fatalf("pop returned %p, want the live task %p", got, live)
 	}
@@ -68,7 +66,7 @@ func TestPopSettlesCancelledTasks(t *testing.T) {
 // must run as the very next evaluation.
 func TestCancelledQueueDoesNotStarveLiveRequest(t *testing.T) {
 	fe := &fakeEval{n: 4, grad: true, gate: make(chan struct{}, 64)}
-	s, err := New([]evaluator.Evaluator{fe}, Options{WorkersPerEvaluator: 1})
+	s, err := newFixed(fe, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +164,7 @@ func TestQueueStaysBoundedUnderSustainedLoad(t *testing.T) {
 	}
 	maxCap := 0
 	for i := 0; i < tasks; i++ {
-		if got := s.pop(); got != pushed[i] {
+		if got := s.popElastic(&build{}); got != pushed[i] {
 			t.Fatalf("pop %d returned a task out of FIFO order", i)
 		}
 		tk := &task{ctx: ctx}

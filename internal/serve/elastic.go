@@ -1,23 +1,23 @@
-// Elastic scheduling: the Service's worker pool, fixed at construction
-// since its introduction, here learns to grow and shrink from observed
-// queue depth. Workers are built on demand from evaluator.Factory
-// descriptors — so the pool can pack heterogeneous capacity
-// (float64/float32/quantized simulators, sharded rank groups,
+// Elastic scheduling: the Service's worker pool grows and shrinks from
+// observed queue depth. Workers are built on demand from
+// evaluator.Factory descriptors — so the pool can pack heterogeneous
+// capacity (float64/float32/quantized simulators, sharded rank groups,
 // light-cone fan-outs) against one memory budget using each factory's
 // up-front Caps().StateBytes cost metadata — and retire back to their
 // factories after sitting idle, returning state-vector-scale memory.
+// A live evaluator joins through evaluator.Static, whose single build
+// caps the pool at the evaluator's Caps().MaxConcurrent workers.
 //
-// The fixed-pool path (New) is untouched: an elastic service is the
-// same Service with the same FIFO queue, task pooling, cancellation
-// and batch semantics; only worker lifetime differs. Scale-up happens
-// at push time (a queued task with no idle worker spawns one, up to
-// MaxWorkers and the budget); scale-down happens at pop time (a worker
-// above the MinWorkers floor that stays idle past IdleDecay exits and,
-// when it was its evaluator's last worker, retires the evaluator).
+// Scale-up happens at push time (a queued task with no idle worker
+// spawns one, up to MaxWorkers and the budget); scale-down happens at
+// pop time (a worker above the MinWorkers floor that stays idle past
+// IdleDecay exits and, when it was its evaluator's last worker,
+// retires the evaluator).
 package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -26,7 +26,7 @@ import (
 	"qokit/internal/evaluator"
 )
 
-// ElasticOptions configures an elastic service. The zero value gives a
+// ElasticOptions configures a service's pool. The zero value gives a
 // pool with floor 1, a ceiling of the factories' combined preferred
 // capacity, no memory budget, and a 100 ms idle decay.
 type ElasticOptions struct {
@@ -67,52 +67,41 @@ func (o ElasticOptions) withDefaults() ElasticOptions {
 	return o
 }
 
-// elastic is the scale state hanging off a Service. All fields are
-// guarded by Service.mu except opts and slots, which are immutable
-// after construction.
-type elastic struct {
-	opts  ElasticOptions
-	slots []*factorySlot
-
-	live      int   // workers running or starting
-	idle      int   // workers parked waiting for tasks
-	peak      int   // high-water mark of live
-	usedBytes int64 // Σ StateBytes of current builds
-	buildErr  error // latched most-recent factory failure
-}
-
 // factorySlot is one factory plus its current builds.
 type factorySlot struct {
 	f      evaluator.Factory
 	caps   evaluator.Caps
-	builds []*elBuild
+	builds []*build
 }
 
-// elBuild is one built evaluator and the workers bound to it.
-type elBuild struct {
+// build is one evaluator and the workers bound to it. It joins its
+// slot's builds before Factory.New runs, so concurrent binders see its
+// spare capacity and wait on ready instead of building a redundant
+// evaluator; ev and err are valid once ready is closed.
+type build struct {
 	slot     *factorySlot
+	ready    chan struct{}
 	ev       evaluator.Evaluator
+	err      error
 	workers  int
 	capacity int // per-build worker cap (0 = unlimited)
 }
 
-// NewElastic builds an autoscaled service over evaluator factories and
-// starts its floor workers. All factories must be bound to the same
-// qubit count; the aggregate Caps reports Grad/Outputs/Streaming only
-// when every factory's builds support them, MaxConcurrent as the
-// worker ceiling, and StateBytes as the memory bound (the budget when
-// set, else the worst-case packing).
+// NewElastic builds a service over evaluator factories and starts its
+// floor workers. All factories must be bound to the same qubit count;
+// the aggregate Caps reports Grad/Outputs/Streaming only when every
+// factory's builds support them, MaxConcurrent as the worker ceiling,
+// and StateBytes as the memory bound (the budget when set, else the
+// worst-case packing).
 func NewElastic(factories []evaluator.Factory, opts ElasticOptions) (*Service, error) {
 	if len(factories) == 0 {
 		return nil, fmt.Errorf("serve: no factories")
 	}
 	opts = opts.withDefaults()
-	el := &elastic{opts: opts}
 	caps := factories[0].Caps()
-	caps.MaxConcurrent = 0
-	caps.StateBytes = 0
 	capacity := 0
 	var maxBuild int64
+	slots := make([]*factorySlot, 0, len(factories))
 	for i, f := range factories {
 		c := f.Caps()
 		if c.NumQubits != caps.NumQubits {
@@ -122,68 +111,52 @@ func NewElastic(factories []evaluator.Factory, opts ElasticOptions) (*Service, e
 		caps.Grad = caps.Grad && c.Grad
 		caps.Outputs = caps.Outputs && c.Outputs
 		caps.Streaming = caps.Streaming && c.Streaming
-		if c.Ranks > caps.Ranks {
-			caps.Ranks = c.Ranks
-		}
+		caps.Ranks = max(caps.Ranks, c.Ranks)
 		pref := c.MaxConcurrent
 		if pref <= 0 {
 			pref = runtime.GOMAXPROCS(0)
 		}
 		capacity += pref
-		if c.StateBytes > maxBuild {
-			maxBuild = c.StateBytes
-		}
-		el.slots = append(el.slots, &factorySlot{f: f, caps: c})
+		maxBuild = max(maxBuild, c.StateBytes)
+		slots = append(slots, &factorySlot{f: f, caps: c})
 	}
-	if el.opts.MaxWorkers <= 0 {
-		el.opts.MaxWorkers = capacity
+	if opts.MaxWorkers <= 0 {
+		opts.MaxWorkers = capacity
 	}
-	if el.opts.MaxWorkers < el.opts.MinWorkers {
-		el.opts.MaxWorkers = el.opts.MinWorkers
-	}
-	caps.MaxConcurrent = el.opts.MaxWorkers
+	opts.MaxWorkers = max(opts.MaxWorkers, opts.MinWorkers)
+	caps.MaxConcurrent = opts.MaxWorkers
 	if opts.MemoryBudget > 0 {
 		caps.StateBytes = opts.MemoryBudget
 	} else {
-		caps.StateBytes = int64(el.opts.MaxWorkers) * maxBuild
+		caps.StateBytes = int64(opts.MaxWorkers) * maxBuild
 	}
 
-	s := &Service{caps: caps, el: el}
+	s := &Service{caps: caps, opts: opts, slots: slots}
 	s.cond = sync.NewCond(&s.mu)
 	s.taskPool.New = func() interface{} {
 		return &task{done: make(chan struct{}, 1)}
 	}
-	s.workers = el.opts.MinWorkers
-	el.live = el.opts.MinWorkers
-	el.peak = el.live
-	for i := 0; i < el.opts.MinWorkers; i++ {
-		s.wg.Add(1)
-		go s.elasticWorker()
+	s.mu.Lock()
+	for i := 0; i < opts.MinWorkers; i++ {
+		s.spawnLocked()
 	}
+	s.mu.Unlock()
 	return s, nil
 }
 
-// LiveWorkers reports the current worker count of an elastic service
-// (including workers still binding an evaluator); for a fixed pool it
-// equals Workers().
+// LiveWorkers reports the current worker count, including workers
+// still binding an evaluator.
 func (s *Service) LiveWorkers() int {
-	if s.el == nil {
-		return s.workers
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.el.live
+	return s.live
 }
 
-// PeakWorkers reports the elastic pool's high-water mark (Workers()
-// for a fixed pool).
+// PeakWorkers reports the pool's high-water mark.
 func (s *Service) PeakWorkers() int {
-	if s.el == nil {
-		return s.workers
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.el.peak
+	return s.peak
 }
 
 // maybeGrowLocked spawns one worker when the unserved backlog crosses
@@ -191,21 +164,23 @@ func (s *Service) PeakWorkers() int {
 // evaluator on its own goroutine, so a slow first build never blocks
 // the submitter.
 func (s *Service) maybeGrowLocked() {
-	el := s.el
-	backlog := len(s.queue) - s.head - el.idle
-	if backlog < el.opts.ScaleThreshold || el.live >= el.opts.MaxWorkers {
+	backlog := len(s.queue) - s.head - s.idle
+	if backlog < s.opts.ScaleThreshold || s.live >= s.opts.MaxWorkers {
 		return
 	}
-	el.live++
-	if el.live > el.peak {
-		el.peak = el.live
-	}
+	s.spawnLocked()
+}
+
+// spawnLocked starts one worker (s.mu held, service open).
+func (s *Service) spawnLocked() {
+	s.live++
+	s.peak = max(s.peak, s.live)
 	s.wg.Add(1)
 	go s.elasticWorker()
 }
 
-// elasticWorker binds an evaluator (building one if needed), serves
-// tasks until close or idle decay, then unbinds.
+// elasticWorker binds an evaluator (building one if needed) and serves
+// tasks until close or idle decay; popElastic releases it on exit.
 func (s *Service) elasticWorker() {
 	defer s.wg.Done()
 	b := s.bind()
@@ -213,155 +188,181 @@ func (s *Service) elasticWorker() {
 		return
 	}
 	for {
-		t := s.popElastic()
+		t := s.popElastic(b)
 		if t == nil {
-			break
+			return
 		}
 		s.serveTask(b.ev, t)
 	}
-	s.unbind(b)
 }
 
 // bind attaches the calling worker to a build with spare capacity, or
 // builds a new evaluator from the cheapest factory that fits the
 // remaining memory budget. A nil return means the worker could not be
-// supplied (budget exhausted with no spare capacity, or the factory
-// failed) and has already been discounted from live.
-func (s *Service) bind() *elBuild {
+// supplied — the budget is exhausted with no spare capacity, the
+// factory refused (evaluator.ErrNoCapacity), or New failed — and has
+// already been discounted from live.
+func (s *Service) bind() *build {
 	s.mu.Lock()
-	el := s.el
-	// Spare capacity on an existing build is free — prefer it.
-	for _, slot := range el.slots {
+	b := s.spareLocked()
+	if b == nil {
+		slot := s.cheapestFitLocked()
+		if slot == nil {
+			stranded := s.refuseLocked()
+			s.mu.Unlock()
+			s.failAll(stranded, errors.New("serve: pool has no workers: memory budget admits no evaluator"))
+			return nil
+		}
+		// Charge the budget while building so concurrent binds cannot
+		// collectively overshoot it.
+		b = &build{slot: slot, ready: make(chan struct{}), workers: 1, capacity: slot.caps.MaxConcurrent}
+		slot.builds = append(slot.builds, b)
+		s.usedBytes += slot.caps.StateBytes
+		s.mu.Unlock()
+
+		ev, err := slot.f.New(context.Background())
+
+		s.mu.Lock()
+		b.ev, b.err = ev, err
+		if err != nil {
+			s.dropLocked(b)
+			if !errors.Is(err, evaluator.ErrNoCapacity) && s.err == nil {
+				s.err = err
+			}
+		}
+		close(b.ready)
+	}
+	s.mu.Unlock()
+	<-b.ready
+	if b.err == nil {
+		return b
+	}
+	s.mu.Lock()
+	stranded := s.refuseLocked()
+	s.mu.Unlock()
+	s.failAll(stranded, fmt.Errorf("serve: pool has no workers: %w", b.err))
+	return nil
+}
+
+// spareLocked claims a worker slot on a build (finished or still in
+// Factory.New) with spare capacity — free capacity is preferred over a
+// new build. Nil means every build is full.
+func (s *Service) spareLocked() *build {
+	for _, slot := range s.slots {
 		for _, b := range slot.builds {
 			if b.capacity == 0 || b.workers < b.capacity {
 				b.workers++
-				s.mu.Unlock()
 				return b
 			}
 		}
 	}
-	// Pick the cheapest factory fitting the budget. The first build
-	// ever is exempt so a too-small budget degrades to one evaluator
-	// instead of a pool that can serve nothing. The exemption is keyed
-	// on charged bytes, not finished builds: usedBytes is charged before
-	// Factory.New runs, so only one of several concurrent cold binders
-	// can take it.
+	return nil
+}
+
+// cheapestFitLocked picks the cheapest factory fitting the budget, or
+// nil. The first build ever is exempt so a too-small budget degrades
+// to one evaluator instead of a pool that can serve nothing. The
+// exemption is keyed on charged bytes, not finished builds: usedBytes
+// is charged before Factory.New runs, so only one of several
+// concurrent cold binders can take it.
+func (s *Service) cheapestFitLocked() *factorySlot {
 	var slot *factorySlot
-	haveAny := el.usedBytes > 0
-	for _, cand := range el.slots {
-		if haveAny && el.opts.MemoryBudget > 0 && el.usedBytes+cand.caps.StateBytes > el.opts.MemoryBudget {
+	haveAny := s.usedBytes > 0
+	for _, cand := range s.slots {
+		if haveAny && s.opts.MemoryBudget > 0 && s.usedBytes+cand.caps.StateBytes > s.opts.MemoryBudget {
 			continue
 		}
 		if slot == nil || cand.caps.StateBytes < slot.caps.StateBytes {
 			slot = cand
 		}
 	}
-	if slot == nil {
-		el.live--
-		s.mu.Unlock()
-		return nil
-	}
-	// Charge the budget while building so concurrent binds cannot
-	// collectively overshoot it.
-	el.usedBytes += slot.caps.StateBytes
-	s.mu.Unlock()
-
-	ev, err := slot.f.New(context.Background())
-
-	s.mu.Lock()
-	if err != nil {
-		el.usedBytes -= slot.caps.StateBytes
-		el.buildErr = err
-		el.live--
-		dead := el.live == 0
-		var stranded []*task
-		if dead {
-			// No worker will ever serve the queue; fail it loudly
-			// rather than hanging submitters.
-			stranded = append(stranded, s.queue[s.head:]...)
-			s.queue = s.queue[:0]
-			s.head = 0
-		}
-		s.mu.Unlock()
-		for _, t := range stranded {
-			s.finish(t, 0, fmt.Errorf("serve: elastic pool has no workers: %w", err))
-		}
-		return nil
-	}
-	b := &elBuild{slot: slot, ev: ev, workers: 1, capacity: slot.caps.MaxConcurrent}
-	slot.builds = append(slot.builds, b)
-	s.mu.Unlock()
-	return b
+	return slot
 }
 
-// unbind detaches a worker from its build; the build's last worker
-// retires the evaluator back to its factory.
-func (s *Service) unbind(b *elBuild) {
-	s.mu.Lock()
-	b.workers--
-	retire := b.workers == 0
-	if retire {
-		builds := b.slot.builds
-		for i, ob := range builds {
-			if ob == b {
-				builds[i] = builds[len(builds)-1]
-				b.slot.builds = builds[:len(builds)-1]
-				break
-			}
-		}
-		s.el.usedBytes -= b.slot.caps.StateBytes
+// refuseLocked discounts a worker that got no evaluator. When it was
+// the last worker and no retire is in flight to free capacity (retire
+// refills the pool), no worker will ever serve the queue: the queued
+// tasks are returned for the caller to fail rather than hang.
+func (s *Service) refuseLocked() []*task {
+	s.live--
+	if s.live > 0 || s.retiring > 0 || s.closed {
+		return nil
 	}
-	s.mu.Unlock()
-	if retire {
-		// Best-effort: a retire error has no caller to surface to.
-		if err := b.slot.f.Retire(b.ev); err != nil {
-			s.mu.Lock()
-			s.el.buildErr = err
-			s.mu.Unlock()
-		}
-	}
+	stranded := append([]*task(nil), s.queue[s.head:]...)
+	clear(s.queue)
+	s.queue = s.queue[:0]
+	s.head = 0
+	return stranded
 }
 
-// popElastic is pop with idle decay: a worker above the floor whose
-// wait outlives IdleDecay returns nil (its exit signal) instead of
-// parking forever. Floor workers wait untimed — the steady-state path
-// arms no timers and allocates nothing.
-func (s *Service) popElastic() *task {
-	el := s.el
+// dropLocked removes b from its slot and uncharges its bytes.
+func (s *Service) dropLocked(b *build) {
+	builds := b.slot.builds
+	for i, ob := range builds {
+		if ob == b {
+			builds[i] = builds[len(builds)-1]
+			builds[len(builds)-1] = nil
+			b.slot.builds = builds[:len(builds)-1]
+			break
+		}
+	}
+	s.usedBytes -= b.slot.caps.StateBytes
+}
+
+// popElastic blocks for the oldest live task for a worker bound to b. Tasks
+// whose context is already cancelled are settled here and never
+// returned: a queue full of dead requests costs the popping worker a
+// scan, not one worker occupancy per corpse. A nil return is the
+// worker's exit — the service closed, or the worker sat idle above
+// the floor past IdleDecay — and the worker has then already left both
+// live and b.workers, in one critical section, so a worker spawned
+// meanwhile never sees b full while its departing worker leaves.
+// Floor workers wait untimed: the steady-state path arms no timers and
+// allocates nothing.
+func (s *Service) popElastic(b *build) *task {
 	for {
 		s.mu.Lock()
 		var decay *time.Timer
-		expired := false
+		expired, exit := false, false
 		for !s.closed && s.head == len(s.queue) {
 			if expired {
-				if el.live > el.opts.MinWorkers {
-					el.live--
-					s.mu.Unlock()
-					return nil
+				if s.live > s.opts.MinWorkers {
+					exit = true
+					break
 				}
 				// The pool shrank to the floor while this worker's timer
 				// ran: it is now a floor worker and parks untimed.
 				expired = false
 				decay = nil
 			}
-			if decay == nil && el.live > el.opts.MinWorkers {
-				decay = time.AfterFunc(el.opts.IdleDecay, func() {
+			if decay == nil && s.live > s.opts.MinWorkers {
+				decay = time.AfterFunc(s.opts.IdleDecay, func() {
 					s.mu.Lock()
 					expired = true
 					s.mu.Unlock()
 					s.cond.Broadcast()
 				})
 			}
-			el.idle++
+			s.idle++
 			s.cond.Wait()
-			el.idle--
+			s.idle--
 		}
 		if decay != nil {
 			decay.Stop()
 		}
-		if s.head == len(s.queue) {
+		if exit || s.head == len(s.queue) {
+			s.live--
+			b.workers--
+			last := b.workers == 0
+			if last {
+				s.dropLocked(b)
+				s.retiring++
+			}
 			s.mu.Unlock()
-			return nil // closed
+			if last {
+				s.retire(b)
+			}
+			return nil
 		}
 		t := s.dequeueLocked()
 		s.mu.Unlock()
@@ -371,4 +372,22 @@ func (s *Service) popElastic() *task {
 		}
 		return t
 	}
+}
+
+// retire returns a build's evaluator to its factory, latches a failure
+// for Close, and restores the floor if binders refused while the
+// evaluator was still out (a Static factory refuses until Retire).
+func (s *Service) retire(b *build) {
+	err := b.slot.f.Retire(b.ev)
+	s.mu.Lock()
+	s.retiring--
+	if err != nil && s.err == nil {
+		s.err = err
+	}
+	if !s.closed {
+		for s.live < s.opts.MinWorkers {
+			s.spawnLocked()
+		}
+	}
+	s.mu.Unlock()
 }

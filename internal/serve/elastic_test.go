@@ -196,9 +196,10 @@ func TestElasticFloorCappedByBudget(t *testing.T) {
 	}
 }
 
-// TestElasticFixedParity: the elastic pool returns bit-identical
-// energies and gradients to a fixed pool over the same engine
-// construction — scheduling must not perturb numerics.
+// TestElasticFixedParity: a live engine behind evaluator.Static and the
+// core.NewFactory + sweep.NewFactory route return bit-identical
+// energies and gradients — neither the wrapping nor the scheduling
+// may perturb numerics.
 func TestElasticFixedParity(t *testing.T) {
 	const n, p, points = 10, 3, 32
 	terms := problems.LABSTerms(n)
@@ -206,7 +207,7 @@ func TestElasticFixedParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed, err := New([]evaluator.Evaluator{sweep.New(sim, sweep.Options{Workers: 2})}, Options{WorkersPerEvaluator: 2})
+	fixed, err := NewElastic([]evaluator.Factory{evaluator.Static(sweep.New(sim, sweep.Options{Workers: 2}))}, ElasticOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestElasticFixedParity(t *testing.T) {
 	}
 	for i := range want {
 		if want[i] != got[i] {
-			t.Fatalf("point %d: elastic %v != fixed %v (must be bit-identical)", i, got[i], want[i])
+			t.Fatalf("point %d: factory route %v != static %v (must be bit-identical)", i, got[i], want[i])
 		}
 	}
 	gw := make([]float64, 2*p)

@@ -71,11 +71,11 @@ func TestOptimizeAdamRestartedPool(t *testing.T) {
 	}
 	newPool := func(t *testing.T, q *quadEval) *Service {
 		t.Helper()
-		s, err := New([]evaluator.Evaluator{q}, Options{WorkersPerEvaluator: 1})
+		s, err := newFixed(q, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(s.Close)
+		t.Cleanup(func() { s.Close() })
 		return s
 	}
 
@@ -125,7 +125,7 @@ func TestOptimizeAdamRestartedPool(t *testing.T) {
 // checkpoint.
 func TestOptimizeAdamValidation(t *testing.T) {
 	q := &quadEval{n: 4}
-	s, err := New([]evaluator.Evaluator{q}, Options{WorkersPerEvaluator: 1})
+	s, err := newFixed(q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

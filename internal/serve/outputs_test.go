@@ -23,7 +23,7 @@ func TestServiceOutputsMatchEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sweep.New(sim, sweep.Options{Workers: 4})
-	s, err := New([]evaluator.Evaluator{eng}, Options{})
+	s, err := newFixed(eng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestServiceOutputsDistributedPool(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := New([]evaluator.Evaluator{eng}, Options{})
+		s, err := newFixed(eng, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestServiceOutputsDistributedPool(t *testing.T) {
 // TestServiceOutputsUnsupportedPool: a pool with any output-less
 // evaluator rejects EvalOutputs up front without queueing.
 func TestServiceOutputsUnsupportedPool(t *testing.T) {
-	s, err := New([]evaluator.Evaluator{&fakeEval{n: 5, grad: true}}, Options{})
+	s, err := newFixed(&fakeEval{n: 5, grad: true}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestServiceOutputsClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New([]evaluator.Evaluator{sweep.New(sim, sweep.Options{Workers: 1})}, Options{})
+	s, err := newFixed(sweep.New(sim, sweep.Options{Workers: 1}), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

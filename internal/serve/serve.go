@@ -1,8 +1,9 @@
 // Package serve is the concurrent evaluation service: one FIFO
-// request queue feeding a pool of evaluator.Evaluator workers. It is
-// the layer the ROADMAP's "distributed sweep/optimizer service" item
-// asked for — the piece that turns the engines (single-node sweep and
-// adjoint, sharded cluster) into one schedulable resource:
+// request queue feeding an elastic pool of workers, each bound to an
+// evaluator built on demand from an evaluator.Factory. It turns the
+// engines (single-node sweep and adjoint, sharded cluster, light cone)
+// into one schedulable resource, with one constructor (NewElastic) and
+// one worker loop:
 //
 //   - requests are point energies, point gradients, measurement-style
 //     outputs (sampling, CVaR, overlap — when every evaluator in the
@@ -13,6 +14,10 @@
 //     evaluator for its lifetime, so the evaluator's pooled buffers
 //     stay warm per worker and a steady request stream performs no
 //     per-request state allocations;
+//   - the pool grows from queue backlog toward a ceiling and a memory
+//     budget, and decays to a floor when idle (elastic.go); a caller
+//     holding a live evaluator wraps it in evaluator.Static, and
+//     MinWorkers == MaxWorkers gives a fixed pool;
 //   - the queue is strictly FIFO — a point query enqueued after a
 //     large batch runs after that batch's points, and nothing
 //     reorders within a batch — which makes latency predictable under
@@ -32,7 +37,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"qokit/internal/evaluator"
@@ -42,21 +46,12 @@ import (
 // closed service.
 var ErrClosed = errors.New("serve: service closed")
 
-// Options configures a Service.
-type Options struct {
-	// WorkersPerEvaluator is the number of workers bound to each
-	// evaluator, clamped to the evaluator's Caps().MaxConcurrent.
-	// 0 selects the evaluator's own preferred concurrency
-	// (MaxConcurrent, or GOMAXPROCS when the evaluator reports no
-	// limit).
-	WorkersPerEvaluator int
-}
-
-// Service schedules evaluation requests over a pool of evaluators.
-// All methods are safe for concurrent use.
+// Service schedules evaluation requests over an elastic pool of
+// evaluators. All methods are safe for concurrent use.
 type Service struct {
-	caps    evaluator.Caps
-	workers int
+	caps  evaluator.Caps
+	opts  ElasticOptions // immutable after NewElastic
+	slots []*factorySlot // immutable list; each slot's builds guarded by mu
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -64,12 +59,16 @@ type Service struct {
 	head   int
 	closed bool
 
+	// Pool state, guarded by mu.
+	live      int   // workers running or starting
+	idle      int   // workers parked waiting for tasks
+	peak      int   // high-water mark of live
+	usedBytes int64 // Σ StateBytes of current and pending builds
+	retiring  int   // builds released but not yet returned by Retire
+	err       error // first failed Factory.New or Retire, for Close
+
 	wg       sync.WaitGroup
 	taskPool sync.Pool
-
-	// el is non-nil for services built with NewElastic; the fixed-pool
-	// path never consults it beyond one nil check in push.
-	el *elastic
 }
 
 // task is one unit of work: a point evaluation belonging either to a
@@ -129,70 +128,10 @@ func (tr *batchTracker) failedErr() error {
 	return tr.firstErr
 }
 
-// New builds a service over the given evaluators and starts its
-// workers. All evaluators must be bound to the same qubit count; the
-// aggregate Caps reports Grad only when every evaluator supports it.
-func New(evals []evaluator.Evaluator, opts Options) (*Service, error) {
-	if len(evals) == 0 {
-		return nil, fmt.Errorf("serve: no evaluators")
-	}
-	s := &Service{}
-	s.cond = sync.NewCond(&s.mu)
-	s.taskPool.New = func() interface{} {
-		return &task{done: make(chan struct{}, 1)}
-	}
-	// Validate the whole pool before starting any worker: a mismatch
-	// must not leak goroutines parked on a queue no one will close.
-	s.caps = evals[0].Caps()
-	s.caps.MaxConcurrent = 0
-	s.caps.StateBytes = 0
-	workers := make([]int, len(evals))
-	for i, ev := range evals {
-		c := ev.Caps()
-		if c.NumQubits != s.caps.NumQubits {
-			return nil, fmt.Errorf("serve: evaluator %d is bound to n=%d, evaluator 0 to n=%d",
-				i, c.NumQubits, s.caps.NumQubits)
-		}
-		s.caps.Grad = s.caps.Grad && c.Grad
-		s.caps.Outputs = s.caps.Outputs && c.Outputs
-		s.caps.Streaming = s.caps.Streaming && c.Streaming
-		if c.Ranks > s.caps.Ranks {
-			s.caps.Ranks = c.Ranks
-		}
-		workers[i] = workersFor(c, opts)
-		s.caps.MaxConcurrent += workers[i]
-		s.caps.StateBytes += int64(workers[i]) * c.StateBytes
-	}
-	for i, ev := range evals {
-		for k := 0; k < workers[i]; k++ {
-			s.wg.Add(1)
-			go s.worker(ev)
-		}
-	}
-	s.workers = s.caps.MaxConcurrent
-	return s, nil
-}
-
-// workersFor resolves the worker count one evaluator contributes.
-func workersFor(c evaluator.Caps, opts Options) int {
-	pref := c.MaxConcurrent
-	if pref <= 0 {
-		pref = runtime.GOMAXPROCS(0)
-	}
-	w := opts.WorkersPerEvaluator
-	if w <= 0 || w > pref {
-		w = pref
-	}
-	return w
-}
-
 // Caps reports the pool's aggregate metadata: MaxConcurrent is the
-// total worker count, StateBytes the state memory pinned at full
-// load, Ranks the widest substrate in the pool.
+// worker ceiling, StateBytes the memory bound (the budget when set,
+// else the worst-case packing), Ranks the widest substrate in the pool.
 func (s *Service) Caps() evaluator.Caps { return s.caps }
-
-// Workers returns the number of pool workers.
-func (s *Service) Workers() int { return s.workers }
 
 // The service is itself an evaluator, so services substitute for
 // engines anywhere the contract is accepted (including inside another
@@ -432,24 +371,34 @@ func (s *Service) GradObjective(ctx context.Context, simErr *error) func(x, g []
 }
 
 // Close drains the service: queued requests fail with ErrClosed,
-// workers exit after their current task, and subsequent submissions
-// are rejected. Close blocks until every worker has stopped.
-func (s *Service) Close() {
+// workers exit after their current task and retire their evaluators,
+// and subsequent submissions are rejected. Close blocks until every
+// worker has stopped, then returns the first error a factory's New or
+// Retire reported over the service's life (nil if none did; capacity
+// and budget refusals are not errors). Close is idempotent.
+func (s *Service) Close() error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
+	var stranded []*task
+	if !s.closed {
+		s.closed = true
+		stranded = append(stranded, s.queue[s.head:]...)
+		s.queue = nil
+		s.head = 0
+		s.cond.Broadcast()
 	}
-	s.closed = true
-	stranded := append([]*task(nil), s.queue[s.head:]...)
-	s.queue = nil
-	s.head = 0
-	s.cond.Broadcast()
 	s.mu.Unlock()
-	for _, t := range stranded {
-		s.finish(t, 0, ErrClosed)
-	}
+	s.failAll(stranded, ErrClosed)
 	s.wg.Wait()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
+}
+
+// failAll settles tasks that no worker will ever serve.
+func (s *Service) failAll(ts []*task, err error) {
+	for _, t := range ts {
+		s.finish(t, 0, err)
+	}
 }
 
 // push appends a task to the FIFO queue.
@@ -460,37 +409,10 @@ func (s *Service) push(t *task) error {
 		return ErrClosed
 	}
 	s.queue = append(s.queue, t)
-	if s.el != nil {
-		s.maybeGrowLocked()
-	}
+	s.maybeGrowLocked()
 	s.cond.Signal()
 	s.mu.Unlock()
 	return nil
-}
-
-// pop blocks for the oldest live task; nil means the service closed.
-// Tasks whose context is already cancelled are settled here with the
-// cancellation error and never returned: a queue full of dead requests
-// costs the popping worker a scan, not one worker occupancy per corpse
-// — the request behind them starts immediately.
-func (s *Service) pop() *task {
-	for {
-		s.mu.Lock()
-		for !s.closed && s.head == len(s.queue) {
-			s.cond.Wait()
-		}
-		if s.head == len(s.queue) {
-			s.mu.Unlock()
-			return nil
-		}
-		t := s.dequeueLocked()
-		s.mu.Unlock()
-		if err := t.ctx.Err(); err != nil {
-			s.finish(t, 0, err)
-			continue
-		}
-		return t
-	}
 }
 
 // dequeueLocked removes and returns the oldest queued task; the
@@ -533,21 +455,6 @@ func (s *Service) tryRemove(t *task) bool {
 	}
 	s.mu.Unlock()
 	return false
-}
-
-// worker serves tasks against its bound evaluator until close. The
-// binding is what makes buffer reuse worker-affine: an engine's
-// pooled buffers are touched by at most this many workers, so the
-// warm path never allocates states.
-func (s *Service) worker(ev evaluator.Evaluator) {
-	defer s.wg.Done()
-	for {
-		t := s.pop()
-		if t == nil {
-			return
-		}
-		s.serveTask(ev, t)
-	}
 }
 
 // serveTask evaluates one claimed task against a worker's bound

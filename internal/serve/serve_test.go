@@ -25,6 +25,7 @@ type fakeEval struct {
 	n    int
 	grad bool
 	gate chan struct{} // non-nil: each evaluation consumes one token
+	conc int           // Caps().MaxConcurrent (0 means 4)
 
 	mu       sync.Mutex
 	order    []float64 // x[0] of each served request, in service order
@@ -69,10 +70,23 @@ func (f *fakeEval) EnergyGrad(ctx context.Context, x, g []float64) (float64, err
 }
 
 func (f *fakeEval) Caps() evaluator.Caps {
-	return evaluator.Caps{NumQubits: f.n, Grad: f.grad, MaxConcurrent: 4, Ranks: 1, StateBytes: 1}
+	conc := f.conc
+	if conc == 0 {
+		conc = 4
+	}
+	return evaluator.Caps{NumQubits: f.n, Grad: f.grad, MaxConcurrent: conc, Ranks: 1, StateBytes: 1}
 }
 
 func flat(vals ...float64) []float64 { return vals }
+
+// newFixed serves one live evaluator through a fixed pool of k workers
+// over evaluator.Static (k ≤ 0: the evaluator's own MaxConcurrent).
+func newFixed(ev evaluator.Evaluator, k int) (*Service, error) {
+	if k <= 0 {
+		k = ev.Caps().MaxConcurrent
+	}
+	return NewElastic([]evaluator.Factory{evaluator.Static(ev)}, ElasticOptions{MinWorkers: k, MaxWorkers: k})
+}
 
 // TestServiceMatchesEngine is the equivalence contract: point, batch,
 // and gradient requests through the service reproduce the direct
@@ -85,7 +99,7 @@ func TestServiceMatchesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sweep.New(sim, sweep.Options{Workers: 4})
-	svc, err := New([]evaluator.Evaluator{eng}, Options{})
+	svc, err := newFixed(eng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +191,7 @@ func TestServiceMatchesEngine(t *testing.T) {
 // and across a batch and the requests submitted behind it.
 func TestServiceFIFO(t *testing.T) {
 	fe := &fakeEval{n: 4, grad: true, gate: make(chan struct{}, 64)}
-	svc, err := New([]evaluator.Evaluator{fe}, Options{WorkersPerEvaluator: 1})
+	svc, err := newFixed(fe, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +265,7 @@ func TestServiceConcurrentMixed(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sweep.New(sim, sweep.Options{Workers: 4})
-	svc, err := New([]evaluator.Evaluator{eng}, Options{})
+	svc, err := newFixed(eng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +350,7 @@ func TestServiceConcurrentMixed(t *testing.T) {
 // without being evaluated; and the pool keeps serving afterwards.
 func TestServiceCancellation(t *testing.T) {
 	fe := &fakeEval{n: 4, grad: true, gate: make(chan struct{}, 64)}
-	svc, err := New([]evaluator.Evaluator{fe}, Options{WorkersPerEvaluator: 1})
+	svc, err := newFixed(fe, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +430,7 @@ func TestServiceCancellation(t *testing.T) {
 // submissions are rejected, Close is idempotent.
 func TestServiceClose(t *testing.T) {
 	fe := &fakeEval{n: 4, grad: true, gate: make(chan struct{}, 16)}
-	svc, err := New([]evaluator.Evaluator{fe}, Options{WorkersPerEvaluator: 1})
+	svc, err := newFixed(fe, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,14 +466,16 @@ func TestServiceClose(t *testing.T) {
 // TestServiceValidation rejects malformed requests and mismatched
 // pools up front.
 func TestServiceValidation(t *testing.T) {
-	if _, err := New(nil, Options{}); err == nil {
+	if _, err := NewElastic(nil, ElasticOptions{}); err == nil {
 		t.Error("empty pool accepted")
 	}
-	if _, err := New([]evaluator.Evaluator{&fakeEval{n: 4}, &fakeEval{n: 6}}, Options{}); err == nil {
+	if _, err := NewElastic([]evaluator.Factory{
+		evaluator.Static(&fakeEval{n: 4}), evaluator.Static(&fakeEval{n: 6}),
+	}, ElasticOptions{}); err == nil {
 		t.Error("mixed qubit counts accepted")
 	}
 	noGrad := &fakeEval{n: 4, grad: false}
-	svc, err := New([]evaluator.Evaluator{noGrad}, Options{})
+	svc, err := newFixed(noGrad, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,29 +495,48 @@ func TestServiceValidation(t *testing.T) {
 	}
 }
 
-// TestServiceWorkerSizing pins the worker-pool arithmetic against the
-// evaluators' declared concurrency.
+// TestServiceWorkerSizing pins the pool arithmetic on NewElastic's
+// defaults: the ceiling is the summed per-build capacity, StateBytes
+// the worst-case packing (ceiling × the largest build) or the budget
+// when one is set, and the floor is one worker.
 func TestServiceWorkerSizing(t *testing.T) {
-	fe := &fakeEval{n: 4, grad: true} // MaxConcurrent 4
-	svc, err := New([]evaluator.Evaluator{fe}, Options{})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name      string
+		factories []evaluator.Factory
+		opts      ElasticOptions
+		maxConc   int
+		state     int64
+	}{
+		{"one static", []evaluator.Factory{evaluator.Static(&fakeEval{n: 4})}, ElasticOptions{}, 4, 4},
+		{"two statics", []evaluator.Factory{
+			evaluator.Static(&fakeEval{n: 4}), evaluator.Static(&fakeEval{n: 4}),
+		}, ElasticOptions{}, 8, 8},
+		{"static + factory", []evaluator.Factory{
+			evaluator.Static(&fakeEval{n: 4}), &fakeFactory{n: 4, perBuild: 2, stateBytes: 100},
+		}, ElasticOptions{}, 6, 600},
+		{"budget", []evaluator.Factory{&fakeFactory{n: 4, perBuild: 2, stateBytes: 100}},
+			ElasticOptions{MemoryBudget: 150}, 2, 150},
+		{"floor above ceiling", []evaluator.Factory{evaluator.Static(&fakeEval{n: 4})},
+			ElasticOptions{MinWorkers: 3, MaxWorkers: 2}, 3, 3},
 	}
-	if svc.Workers() != 4 {
-		t.Errorf("default workers %d, want the evaluator's MaxConcurrent 4", svc.Workers())
+	for _, tc := range cases {
+		svc, err := NewElastic(tc.factories, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if caps := svc.Caps(); caps.MaxConcurrent != tc.maxConc || caps.StateBytes != tc.state {
+			t.Errorf("%s: caps MaxConcurrent %d StateBytes %d, want %d and %d",
+				tc.name, caps.MaxConcurrent, caps.StateBytes, tc.maxConc, tc.state)
+		}
+		if tc.opts.MinWorkers == 0 {
+			if got := svc.LiveWorkers(); got != 1 {
+				t.Errorf("%s: %d workers at start, want the default floor 1", tc.name, got)
+			}
+		}
+		if err := svc.Close(); err != nil {
+			t.Errorf("%s: Close: %v", tc.name, err)
+		}
 	}
-	svc.Close()
-	svc, err = New([]evaluator.Evaluator{fe, fe}, Options{WorkersPerEvaluator: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if svc.Workers() != 4 {
-		t.Errorf("2 evaluators × 2 workers = %d, want 4", svc.Workers())
-	}
-	if caps := svc.Caps(); caps.MaxConcurrent != 4 || caps.StateBytes != 4 {
-		t.Errorf("aggregate caps %+v", caps)
-	}
-	svc.Close()
 }
 
 // TestServiceConcurrencyObserved: with a gated evaluator and multiple
@@ -509,7 +544,7 @@ func TestServiceWorkerSizing(t *testing.T) {
 // once — the scheduling property the whole layer exists for.
 func TestServiceConcurrencyObserved(t *testing.T) {
 	fe := &fakeEval{n: 4, grad: true, gate: make(chan struct{}, 64)}
-	svc, err := New([]evaluator.Evaluator{fe}, Options{WorkersPerEvaluator: 3})
+	svc, err := newFixed(fe, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,7 +585,7 @@ func TestServiceNoPerRequestStateAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sweep.New(sim, sweep.Options{Workers: 2})
-	svc, err := New([]evaluator.Evaluator{eng}, Options{WorkersPerEvaluator: 2})
+	svc, err := newFixed(eng, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,12 +632,12 @@ func TestServiceComposes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner, err := New([]evaluator.Evaluator{sweep.New(sim, sweep.Options{Workers: 2})}, Options{})
+	inner, err := newFixed(sweep.New(sim, sweep.Options{Workers: 2}), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer inner.Close()
-	outer, err := New([]evaluator.Evaluator{inner}, Options{WorkersPerEvaluator: 2})
+	outer, err := newFixed(inner, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -640,7 +675,7 @@ func (f *failingEval) Energy(ctx context.Context, x []float64) (float64, error) 
 // for their evaluations.
 func TestBatchAbandonsAfterError(t *testing.T) {
 	fe := &failingEval{fakeEval: fakeEval{n: 4, grad: true}, failAt: 2}
-	svc, err := New([]evaluator.Evaluator{fe}, Options{WorkersPerEvaluator: 1})
+	svc, err := newFixed(fe, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func TestServiceStreamSamples(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sweep.New(sim, sweep.Options{Workers: 4})
-	s, err := New([]evaluator.Evaluator{eng}, Options{})
+	s, err := newFixed(eng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestServiceStreamSamples(t *testing.T) {
 // TestServiceStreamUnsupportedPool: a pool with any non-streaming
 // evaluator rejects StreamSamples up front without queueing.
 func TestServiceStreamUnsupportedPool(t *testing.T) {
-	s, err := New([]evaluator.Evaluator{&fakeEval{n: 5, grad: true}}, Options{})
+	s, err := newFixed(&fakeEval{n: 5, grad: true}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestServiceStreamClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New([]evaluator.Evaluator{sweep.New(sim, sweep.Options{Workers: 1})}, Options{})
+	s, err := newFixed(sweep.New(sim, sweep.Options{Workers: 1}), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func OptimizeParametersInterp(sim *Simulator, pmax, evalsPerDepth int) (gamma, b
 	if pmax < 1 {
 		return nil, nil, 0, 0, fmt.Errorf("qokit: depth pmax=%d < 1", pmax)
 	}
-	svc, err := NewLocalService(sim, ServiceOptions{WorkersPerEvaluator: 1})
+	svc, err := newSimService(sim)
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
@@ -84,7 +84,7 @@ func OptimizeParameters(sim *Simulator, p int, opt NMOptions) (gamma, beta []flo
 	}
 	g0, b0 := TQAInit(p, 0.75)
 	x0 := optimize.JoinAngles(g0, b0)
-	svc, err := NewLocalService(sim, ServiceOptions{WorkersPerEvaluator: 1})
+	svc, err := newSimService(sim)
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}

@@ -15,8 +15,8 @@ import (
 )
 
 // This file is the public façade of the problem registry and the
-// elastic evaluation service — the registered-problem → autoscaled-pool
-// layer that replaces caller-built simulators feeding a fixed pool:
+// evaluation service's constructors — the registered-problem →
+// autoscaled-pool layer every Service is built by:
 //
 //   - ProblemRegistry holds each registered problem's precomputed cost
 //     diagonal (float64 and, on demand, uint16-quantized) in a
@@ -28,10 +28,10 @@ import (
 //     it will cost (EvaluatorCaps up front, before any 2^n allocation)
 //     — so a scheduler can pack heterogeneous capacity against a
 //     memory budget.
-//   - NewElasticService schedules the same FIFO request queue as
-//     NewService over a worker pool that grows from observed queue
-//     depth and decays back to a floor, building evaluators from
-//     factories and retiring them when idle.
+//   - NewElasticService schedules the FIFO request queue over a worker
+//     pool that grows from observed queue depth and decays back to a
+//     floor, building evaluators from factories (StaticFactory for a
+//     live evaluator) and retiring them when idle.
 //
 // NewRegistryService ties the three together: registry + key + options
 // in, autoscaled service out, routed to the single-node, distributed,
@@ -81,8 +81,8 @@ type ElasticOptions = serve.ElasticOptions
 // factories: MinWorkers workers start immediately, queue backlog grows
 // the pool toward MaxWorkers within the memory budget, and workers
 // idle past IdleDecay retire their evaluators back to the factories.
-// The request API — and its numerics — are identical to NewService's
-// fixed pool.
+// MinWorkers == MaxWorkers is a fixed pool. Close returns the first
+// error a factory's New or Retire reported.
 func NewElasticService(factories []EvaluatorFactory, opts ElasticOptions) (*Service, error) {
 	return serve.NewElastic(factories, opts)
 }

@@ -1,7 +1,6 @@
 package qokit
 
 import (
-	"qokit/internal/distsim"
 	"qokit/internal/evaluator"
 	"qokit/internal/grad"
 	"qokit/internal/serve"
@@ -20,8 +19,10 @@ import (
 //     SweepEngine, GradEngine, and DistributedGradEngine all satisfy
 //     it, as does Service itself.
 //   - Service schedules point, gradient, and batch requests FIFO over
-//     a pool of evaluators with worker-affine buffer reuse and
-//     context.Context cancellation at every layer.
+//     an elastic pool of evaluators built from factories, with
+//     worker-affine buffer reuse and context.Context cancellation at
+//     every layer. It has one scheduler and two constructors:
+//     NewRegistryService and NewElasticService (registry.go).
 //
 // One Service therefore serves a landscape grid, a stream of optimizer
 // steps, and concurrent sharded evaluations through the same queue —
@@ -71,50 +72,31 @@ const (
 )
 
 // Service is the concurrent evaluation service: a FIFO request queue
-// feeding a pool of evaluators. Safe for concurrent use; implements
-// Evaluator itself, so services compose.
+// feeding an elastic pool of evaluators. Safe for concurrent use;
+// implements Evaluator itself, so services compose. Build one with
+// NewRegistryService (a registered problem) or NewElasticService
+// (explicit factories; StaticFactory wraps a live evaluator).
 type Service = serve.Service
 
-// ServiceOptions configures a Service's worker pool.
-type ServiceOptions = serve.Options
+// StaticFactory wraps one live evaluator — an engine built by hand, a
+// Service composed inside another, a light-cone engine over a graph too
+// large for the registry — as an EvaluatorFactory. Its single build is
+// ev itself, so a service over it never runs more than
+// ev.Caps().MaxConcurrent concurrent evaluations on ev, whatever
+// MaxWorkers says; MinWorkers == MaxWorkers == k gives a fixed pool of
+// k workers.
+func StaticFactory(ev Evaluator) EvaluatorFactory { return evaluator.Static(ev) }
 
-// NewService builds a service over an explicit evaluator pool — mix
-// single-node engines and distributed engines freely, as long as they
-// are bound to the same problem size. Close the service to stop its
-// workers.
-func NewService(evals []Evaluator, opts ServiceOptions) (*Service, error) {
-	return serve.New(evals, opts)
-}
-
-// NewLocalService builds a service over one shared single-node
-// simulator: a sweep engine supplies pooled point-energy buffers and
-// pooled adjoint workspaces, so the service's warm path allocates no
-// state vectors. workersPerEvaluator ≤ 0 selects GOMAXPROCS workers.
-func NewLocalService(sim *Simulator, opts ServiceOptions) (*Service, error) {
-	eng := sweep.New(sim, sweep.Options{Workers: opts.WorkersPerEvaluator})
-	return serve.New([]Evaluator{eng}, opts)
-}
-
-// NewDistributedService builds a service over one distributed engine
-// pool: each of workersPerEvaluator workers drives its own rank-group
-// lease, so that many sharded evaluations run concurrently on the
-// cluster substrate — the lifting of the old single-flight
-// restriction. The DistOptions' Concurrency is raised to the worker
-// count when lower.
-func NewDistributedService(n int, terms Terms, dopts DistOptions, opts ServiceOptions) (*Service, error) {
-	if dopts.Concurrency < opts.WorkersPerEvaluator {
-		dopts.Concurrency = opts.WorkersPerEvaluator
-	}
-	eng, err := distsim.NewGradEngine(n, terms, dopts)
-	if err != nil {
-		return nil, err
-	}
-	return serve.New([]Evaluator{eng}, opts)
+// newSimService serves sim through one worker over a one-worker sweep
+// engine: one pooled state buffer for a whole optimization.
+func newSimService(sim *Simulator) (*Service, error) {
+	eng := sweep.New(sim, sweep.Options{Workers: 1})
+	return NewElasticService([]EvaluatorFactory{StaticFactory(eng)}, ElasticOptions{MinWorkers: 1, MaxWorkers: 1})
 }
 
 // NewGradEvaluator exposes the pooled adjoint engine as an Evaluator —
-// useful for assembling heterogeneous NewService pools. (Service
-// objectives come from the service itself: Service.Objective feeds the
-// derivative-free optimizers, Service.GradObjective the gradient
-// ones.)
+// useful for assembling heterogeneous pools through StaticFactory.
+// (Service objectives come from the service itself: Service.Objective
+// feeds the derivative-free optimizers, Service.GradObjective the
+// gradient ones.)
 func NewGradEvaluator(sim *Simulator) Evaluator { return grad.New(sim) }

@@ -14,11 +14,11 @@ func relDiff(a, b float64) float64 {
 	return math.Abs(a-b) / math.Max(1, math.Abs(b))
 }
 
-// TestServiceRoundTrip is the PR's acceptance test: one Service
-// round-trips the same three request shapes — a single point, a
-// 64-point grid, and an Adam run — on both the single-node sweep
-// engine and a ranks=4 distributed engine pool, matching the direct
-// engine paths to rtol 1e-10.
+// TestServiceRoundTrip: one registry-built Service round-trips the
+// same three request shapes — a single point, a 64-point grid, and an
+// Adam run — on both the single-node sweep backend and a ranks=4
+// distributed backend (two workers each), matching the direct engine
+// paths to rtol 1e-10.
 func TestServiceRoundTrip(t *testing.T) {
 	const n, p, rtol = 8, 3, 1e-10
 	terms := LABSTerms(n)
@@ -62,21 +62,24 @@ func TestServiceRoundTrip(t *testing.T) {
 		xs[i] = append(append([]float64(nil), pt.Gamma...), pt.Beta...)
 	}
 
+	reg := NewProblemRegistry(RegistryOptions{})
+	key, err := reg.Register(ProblemSpec{N: n, Terms: terms})
+	if err != nil {
+		t.Fatal(err)
+	}
+	twoWorkers := ElasticOptions{MinWorkers: 2, MaxWorkers: 2}
 	services := []struct {
-		name  string
-		build func() (*Service, error)
+		name string
+		opts RegistryServiceOptions
 	}{
-		{"local", func() (*Service, error) {
-			return NewLocalService(sim, ServiceOptions{WorkersPerEvaluator: 2})
-		}},
-		{"distributed-4ranks", func() (*Service, error) {
-			return NewDistributedService(n, terms, DistOptions{Ranks: 4, Algo: Transpose},
-				ServiceOptions{WorkersPerEvaluator: 2})
+		{"local", RegistryServiceOptions{Elastic: twoWorkers}},
+		{"distributed-4ranks", RegistryServiceOptions{
+			Distributed: &DistOptions{Ranks: 4, Algo: Transpose}, Elastic: twoWorkers,
 		}},
 	}
 	for _, tc := range services {
 		t.Run(tc.name, func(t *testing.T) {
-			svc, err := tc.build()
+			svc, err := NewRegistryService(reg, key, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,7 +180,7 @@ func TestDistributedServiceConcurrentEvaluations(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate := &gatedEvaluator{Evaluator: deng, t: t, ready: make(chan struct{})}
-	svc, err := NewService([]Evaluator{gate}, ServiceOptions{WorkersPerEvaluator: 2})
+	svc, err := NewElasticService([]EvaluatorFactory{StaticFactory(gate)}, ElasticOptions{MinWorkers: 2, MaxWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
